@@ -704,6 +704,12 @@ def _cmd_stats_server(args, host: str, port: int) -> int:
         f"{stats.get('strategy')} (k={stats.get('n_shards')})",
     )
     row("placed", count(stats.get("n_placed")))
+    if obs.get("wire_path"):
+        row(
+            "wire path",
+            f"{obs['wire_path']} (kernel validation "
+            f"{'on' if stats.get('kernel_validation') else 'off'})",
+        )
     row(
         "live vectors",
         f"{count(stats.get('live_vectors'))} "

@@ -15,10 +15,16 @@ Grammar: ``<method>[:<key>=<value>[,<key>=<value>...]]``. Known keys:
     ``t2s-topk``): a positive integer or the adaptive form
     ``auto:<rate>`` (:func:`repro.core.scorer.parse_support_cap`).
 ``backend``
-    Execution backend: ``python`` (the golden reference, default),
-    ``numpy`` (typed-array state + compiled kernel,
-    :mod:`repro.core.backends`), or ``auto`` (numpy when available for
-    the method, python otherwise).
+    Execution backend: ``python`` (the golden reference), ``numpy``
+    (typed-array state + compiled kernel, :mod:`repro.core.backends`),
+    or ``auto`` (numpy when available for the method, python
+    otherwise). A spec without the key means ``auto``
+    (:attr:`StrategySpec.backend` defaults to it), so
+    ``optchain-topk:cap=4`` resolves to numpy wherever numpy is
+    importable. A *plain registry name* given
+    to :func:`~repro.core.placement.make_placer` without a ``backend``
+    keyword (``make_placer("optchain", k)``) bypasses the spec
+    language and builds the python registry class.
 
 Every surface that names a strategy - the CLI, the experiments runner,
 snapshot headers, engine stats, the sharded service's worker specs -

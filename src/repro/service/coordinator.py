@@ -69,6 +69,7 @@ from repro.service.wire import (
     encode_place_request,
     encode_response_for,
     peek_place_header,
+    wire_path_label,
 )
 from repro.service.worker import worker_main
 from repro.utxo.transaction import Transaction
@@ -1109,6 +1110,7 @@ class ShardedPlacementServer(PlacementServer):
             "drift": (
                 merge_drift_dicts(drift_dicts) if drift_dicts else None
             ),
+            "wire_path": _merged_wire_path(obs_entries),
             "partitions": per_partition,
         }
 
@@ -1144,6 +1146,7 @@ class ShardedPlacementServer(PlacementServer):
                 "spec": str(self._spec.get("method", "")),
                 "mode": "sharded",
                 "workers": self._n_workers,
+                "wire_path": _merged_wire_path(obs_entries),
             },
             partitions,
             coordinator={
@@ -1158,6 +1161,13 @@ class ShardedPlacementServer(PlacementServer):
             },
         )
         return render_families(families)
+
+
+def _merged_wire_path(obs_entries: "list[dict[str, Any]]") -> str:
+    """Service-wide ``wire_path`` label: ``arrays`` only when every
+    reporting worker places binary frames as wire arrays."""
+    paths = {entry.get("wire_path") for entry in obs_entries}
+    return wire_path_label(paths == {"arrays"})
 
 
 def merge_partition_stats(
@@ -1226,6 +1236,8 @@ def merge_partition_stats(
         "epoch_length": active.get("epoch_length"),
         "horizon_epochs": active.get("horizon_epochs"),
         "support": support,
+        "kernel_validation": bool(alive)
+        and all(stats.get("kernel_validation") for stats in alive),
         "partitions": per_partition,
     }
 

@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 from repro.core.placement import PlacementStrategy
 from repro.core.scorer import PlacementScorer
 from repro.errors import ConfigurationError, EngineError
+from repro.service.wire import wire_transactions
 from repro.utxo.transaction import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -82,6 +83,9 @@ class EngineStats:
     #: :class:`repro.core.spec.StrategySpec`); feeding it back to
     #: ``make_placer`` reproduces this engine's placer configuration.
     spec: str = ""
+    #: True when batch validation runs in the compiled kernel
+    #: (:attr:`PlacementEngine.kernel_validation`).
+    kernel_validation: bool = False
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-friendly dump (the server's ``stats`` op)."""
@@ -99,6 +103,7 @@ class EngineStats:
             "epoch_length": self.epoch_length,
             "horizon_epochs": self.horizon_epochs,
             "support": self.support,
+            "kernel_validation": self.kernel_validation,
         }
 
 
@@ -237,6 +242,16 @@ class PlacementEngine:
         """True when batch validation runs in the compiled kernel."""
         return self._validator is not None
 
+    @property
+    def wire_arrays(self) -> bool:
+        """True when binary ``place`` frames can feed
+        :meth:`place_wire_batch` as typed arrays end to end: kernel
+        validation is on and no drift monitor needs Transaction
+        objects. The one serving-path decision shared by the
+        single-process server and the sharded worker
+        (:func:`repro.service.wire.wire_arrays_enabled`)."""
+        return self._validator is not None and self.drift_monitor is None
+
     def stats(self) -> EngineStats:
         from repro.core.spec import StrategySpec
 
@@ -264,6 +279,7 @@ class PlacementEngine:
             support=(
                 scorer.support_stats() if scorer is not None else None
             ),
+            kernel_validation=self._validator is not None,
         )
 
     # -- the serving hot path ----------------------------------------------
@@ -316,9 +332,9 @@ class PlacementEngine:
         errors) when kernel validation is off or a drift monitor needs
         the objects.
         """
-        if self._validator is None or self.drift_monitor is not None:
+        if not self.wire_arrays:
             return self.place_batch(
-                self._materialize(wire_batch),
+                wire_transactions(wire_batch),
                 _exclude_release=_exclude_release,
             )
         if self._poisoned:
@@ -334,15 +350,6 @@ class PlacementEngine:
                 f"got {first}, expected {self._placer.n_placed}"
             )
         return self._place_validated(None, wire_batch, _exclude_release)
-
-    @staticmethod
-    def _materialize(wire_batch: Any) -> list[Transaction]:
-        from repro.service.wire import decode_place_payload
-
-        batch: list[Transaction] = []
-        for payload in wire_batch.payloads:
-            batch.extend(decode_place_payload(payload))
-        return batch
 
     def _place_validated(
         self,
@@ -360,7 +367,7 @@ class PlacementEngine:
                 # arbitrary-precision masks or >62-output transactions.
                 # The python journal handles it exactly (rare, cold).
                 if batch is None:
-                    batch = self._materialize(marshalled)
+                    batch = wire_transactions(marshalled)
                 self._apply_inputs(batch)
         else:
             self._apply_inputs(batch)

@@ -11,14 +11,24 @@ Architecture (single process, single event loop):
   (see :mod:`repro.datasets.replay`); whichever order their requests
   arrive in, only the contiguous run starting at the engine's
   ``n_placed`` cursor is dispatchable.
+- **The wire path.** When the engine validates in the compiled kernel
+  and no drift monitor is attached
+  (:attr:`~repro.service.engine.PlacementEngine.wire_arrays`), binary
+  ``place`` frames decode to zero-copy
+  :class:`~repro.service.wire.WireBatch` array views - no
+  :class:`Transaction` objects - exactly as in the sharded worker.
+  NDJSON requests, full-output frames, drift-monitored engines and
+  hosts without the kernel take the object decoder; replies are
+  byte-identical either way.
 - **The dispatcher** (one task) pops that contiguous run, *coalesces*
   consecutive requests into a single micro-batch (up to
-  ``max_batch_txs``), and feeds it to
-  :meth:`~repro.service.engine.PlacementEngine.place_batch` - one entry
-  into the fused allocation-free hot path for many small requests. If a
-  merged batch is rejected, it is replayed request-by-request so only
-  the offending request fails (engine validation is atomic, so the
-  retry is exact).
+  ``max_batch_txs``; array runs concatenate, mixed runs become one
+  object list - :func:`~repro.service.wire.merge_place_batches`), and
+  feeds it to the engine entry of its kind (``place_wire_batch`` or
+  ``place_batch``) - one entry into the placement hot path for many
+  small requests. If a merged batch is rejected, it is
+  replayed request-by-request so only the offending request fails
+  (engine validation is atomic, so the retry is exact).
 - **Shutdown** (``shutdown`` op, SIGTERM, or SIGINT via the CLI) stops
   accepting work, drains every dispatchable request, answers the rest
   with a ``shutdown`` error, writes a checkpoint when a path is
@@ -46,16 +56,30 @@ from repro.service.wire import (
     KIND_PLACE,
     OPS,
     PROTOCOL_VERSION,
+    WireBatch,
     decode_batch,
-    decode_place_payload,
+    decode_place,
     encode_error_response,
     encode_response_for,
+    first_txid_of,
+    merge_place_batches,
     op_of_kind,
     read_frame,
+    wire_arrays_enabled,
+    wire_path_label,
 )
 from repro.utxo.transaction import Transaction
 
 DEFAULT_PORT = 9171
+
+
+def _place(
+    engine: PlacementEngine, batch: "list[Transaction] | WireBatch"
+) -> list[int]:
+    """Place one decoded batch through the engine entry of its kind."""
+    if isinstance(batch, WireBatch):
+        return engine.place_wire_batch(batch)
+    return engine.place_batch(batch)
 
 
 class _Pending:
@@ -64,7 +88,9 @@ class _Pending:
     __slots__ = ("txs", "future")
 
     def __init__(
-        self, txs: list[Transaction], future: "asyncio.Future[dict]"
+        self,
+        txs: "list[Transaction] | WireBatch",
+        future: "asyncio.Future[dict]",
     ) -> None:
         self.txs = txs
         self.future = future
@@ -99,6 +125,10 @@ class PlacementServer:
         metrics_host: "str | None" = None,
     ) -> None:
         self._engine = engine
+        if engine is not None:
+            # Warn up front when a vectorized engine lost its kernel;
+            # the path itself is read per frame (engine.wire_arrays).
+            wire_arrays_enabled(engine, "server")
         self._host = host
         self._port = port
         self._max_batch_txs = max_batch_txs
@@ -455,6 +485,7 @@ class PlacementServer:
             "wal": None,
             "rss_kb": rss_kb(),
             "drift": monitor.as_dict() if monitor is not None else None,
+            "wire_path": wire_path_label(self._engine.wire_arrays),
         }
 
     async def _render_metrics(self) -> str:
@@ -467,6 +498,7 @@ class PlacementServer:
                 "spec": engine_stats.get("spec", ""),
                 "mode": "single",
                 "workers": 0,
+                "wire_path": wire_path_label(self._engine.wire_arrays),
             },
             [
                 {
@@ -520,12 +552,17 @@ class PlacementServer:
         return await self._place_request(decode_batch(message.get("txs")))
 
     async def _place_frame(self, payload: bytes) -> dict:
-        """Binary ``place``: decode here, place locally. The sharded
-        coordinator overrides this to route the *raw payload* to the
-        owning worker without decoding it."""
-        return await self._place_request(decode_place_payload(payload))
+        """Binary ``place``: decode here (to array views on the wire
+        path), place locally. The sharded coordinator overrides this to
+        route the *raw payload* to the owning worker without decoding
+        it."""
+        return await self._place_request(
+            decode_place(payload, self._engine.wire_arrays)
+        )
 
-    async def _place_request(self, txs: list[Transaction]) -> dict:
+    async def _place_request(
+        self, txs: "list[Transaction] | WireBatch"
+    ) -> dict:
         """Sequence one decoded ``place`` batch (both codecs land here)."""
         if self._stopping:
             return {
@@ -538,7 +575,7 @@ class PlacementServer:
                 f"batch of {len(txs)} exceeds max_batch_txs="
                 f"{self._max_batch_txs}"
             )
-        first = txs[0].txid
+        first = first_txid_of(txs)
         if first < self._engine.n_placed:
             # A range placed *in full* is answered from the recorded
             # assignments: a client resubmitting after a lost response
@@ -641,18 +678,20 @@ class PlacementServer:
                     return
                 continue
             group = [entry]
-            batch = list(entry.txs)
-            run_next = next_txid + len(batch)
-            while len(batch) < self._max_batch_txs:
+            total = len(entry.txs)
+            run_next = next_txid + total
+            while total < self._max_batch_txs:
                 follower = pending.pop(run_next, None)
                 if follower is None:
                     break
                 group.append(follower)
-                batch.extend(follower.txs)
-                run_next += len(follower.txs)
+                count = len(follower.txs)
+                run_next += count
+                total += count
+            batch = merge_place_batches([member.txs for member in group])
             try:
                 started = perf_counter()
-                shards = engine.place_batch(batch)
+                shards = _place(engine, batch)
                 self.metrics.record_batch(
                     len(batch), perf_counter() - started
                 )
@@ -668,7 +707,7 @@ class PlacementServer:
                 for member in group:
                     try:
                         started = perf_counter()
-                        shards = engine.place_batch(member.txs)
+                        shards = _place(engine, member.txs)
                         self.metrics.record_batch(
                             len(member.txs), perf_counter() - started
                         )

@@ -78,6 +78,7 @@ from __future__ import annotations
 import json
 import struct
 import sys
+import warnings
 from array import array
 from typing import Any, Sequence
 
@@ -686,6 +687,98 @@ def concat_wire_batches(batches: "Sequence[WireBatch]") -> WireBatch:
         in_off,
         tuple(p for b in batches for p in b.payloads),
     )
+
+
+def wire_arrays_enabled(engine: Any, role: str) -> bool:
+    """Whether ``role`` (``"server"``/``"worker"``) may decode binary
+    ``place`` frames to :class:`WireBatch` views for ``engine``
+    (:attr:`~repro.service.engine.PlacementEngine.wire_arrays`).
+
+    A vectorized-backend engine without the compiled kernel (no
+    compiler, ``REPRO_KERNEL_DISABLE``, or a kernel-incompatible
+    configuration) warns with a :class:`RuntimeWarning`: it still
+    serves, bit-identically, through the object decoder. A drift
+    monitor forces the object path by design and does not warn.
+    """
+    if engine.wire_arrays:
+        return True
+    if engine.drift_monitor is None and hasattr(
+        engine.placer, "validation_driver"
+    ):
+        from repro.core.backends.ckernel import kernel_unavailable_reason
+
+        reason = (
+            kernel_unavailable_reason()
+            or "kernel-incompatible strategy configuration"
+        )
+        warnings.warn(
+            "vectorized backend without the compiled kernel "
+            f"({reason}): the {role} wire fast path is disabled; "
+            "requests decode through the Python object path",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return False
+
+
+def wire_path_label(arrays: bool) -> str:
+    """The ``wire_path`` observability label: which decoder feeds the
+    engine binary ``place`` frames."""
+    return "arrays" if arrays else "objects"
+
+
+def decode_place(
+    payload: bytes, arrays: bool
+) -> "list[Transaction] | WireBatch":
+    """One ``place`` payload for the engine: a :class:`WireBatch` when
+    ``arrays`` is on and the encoding allows it, else Transaction
+    objects (full-output frames, or the object path)."""
+    if arrays:
+        batch = decode_place_arrays(payload)
+        if batch is not None:
+            return batch
+    return decode_place_payload(payload)
+
+
+def first_txid_of(batch: "list[Transaction] | WireBatch") -> int:
+    """First txid of a decoded, non-empty ``place`` batch of either kind."""
+    if isinstance(batch, WireBatch):
+        return batch.first_txid
+    return batch[0].txid
+
+
+def merge_place_batches(
+    members: "Sequence[list[Transaction] | WireBatch]",
+) -> "list[Transaction] | WireBatch":
+    """Fuse a txid-contiguous run of queued requests into one engine
+    batch (the coalescer of the server and the worker).
+
+    All-array members concatenate without touching a Transaction
+    object; a mixed run (an object-path frame - e.g. full-output
+    encoding - coalesced with array frames) falls back to one object
+    list, since the engine takes a batch of exactly one kind.
+    """
+    if len(members) == 1:
+        return members[0]
+    if all(isinstance(member, WireBatch) for member in members):
+        return concat_wire_batches(members)
+    batch: list[Transaction] = []
+    for member in members:
+        batch.extend(
+            wire_transactions(member)
+            if isinstance(member, WireBatch)
+            else member
+        )
+    return batch
+
+
+def wire_transactions(wire_batch: WireBatch) -> list[Transaction]:
+    """Materialize a :class:`WireBatch` as Transaction objects (the
+    object-path fallback; decodes each raw payload)."""
+    batch: list[Transaction] = []
+    for payload in wire_batch.payloads:
+        batch.extend(decode_place_payload(payload))
+    return batch
 
 
 def encode_control_request(

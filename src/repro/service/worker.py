@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import asyncio
 import os
-import warnings
 from time import perf_counter
 from typing import Any
 
@@ -49,12 +48,14 @@ from repro.service.partition import (
 )
 from repro.service.wire import (
     WireBatch,
-    concat_wire_batches,
-    decode_place_arrays,
-    decode_place_payload,
+    decode_place,
     decode_response,
     encode_error_response,
     encode_response_for,
+    first_txid_of,
+    merge_place_batches,
+    wire_arrays_enabled,
+    wire_path_label,
 )
 from repro.utxo.transaction import Transaction
 
@@ -91,30 +92,6 @@ def build_partition(partition_id: int, spec: dict[str, Any]) -> EnginePartition:
         n_partitions=n_partitions,
         lease_length=lease_length,
     )
-
-
-def _merge_members(
-    members: "list[list[Transaction] | WireBatch]",
-) -> "list[Transaction] | WireBatch":
-    """Fuse a contiguous run of queued requests into one engine batch.
-
-    All-array members concatenate without touching a Transaction
-    object; a mixed run (an object-path frame - e.g. full-output
-    encoding - coalesced with array frames) falls back to one object
-    list, since the engine takes a batch of exactly one kind.
-    """
-    if len(members) == 1:
-        return members[0]
-    if all(isinstance(member, WireBatch) for member in members):
-        return concat_wire_batches(members)
-    batch: list[Transaction] = []
-    for member in members:
-        if isinstance(member, WireBatch):
-            for payload in member.payloads:
-                batch.extend(decode_place_payload(payload))
-        else:
-            batch.extend(member)
-    return batch
 
 
 class _Queued:
@@ -166,30 +143,7 @@ class PlacementWorker:
         # array views end to end (wire -> kernel). A drift monitor
         # needs Transaction objects; deciding here (not per request)
         # keeps the reorder queue single-minded.
-        self._wire_arrays = bool(
-            getattr(engine, "kernel_validation", False)
-            and engine.drift_monitor is None
-        )
-        if not self._wire_arrays and hasattr(
-            engine._placer, "validation_driver"
-        ):
-            from repro.core.backends.ckernel import (
-                kernel_unavailable_reason,
-            )
-
-            reason = (
-                kernel_unavailable_reason()
-                or "kernel-incompatible strategy configuration"
-            )
-            if engine.drift_monitor is None:
-                warnings.warn(
-                    "vectorized backend without the compiled kernel "
-                    f"({reason}): the worker wire fast path is "
-                    "disabled; requests decode through the Python "
-                    "object path",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+        self._wire_arrays = wire_arrays_enabled(engine, "worker")
         self._max_batch_txs = max_batch_txs
         self._max_reorder = max_reorder_requests
         self._checkpoint_path = checkpoint_path
@@ -287,6 +241,7 @@ class PlacementWorker:
                         "drift": (
                             monitor.as_dict() if monitor is not None else None
                         ),
+                        "wire_path": wire_path_label(self._wire_arrays),
                     },
                 }
         elif kind == ch.W_CHECKPOINT:
@@ -325,21 +280,10 @@ class PlacementWorker:
                 "error": "worker is shutting down",
             }
         try:
-            txs: "list[Transaction] | WireBatch | None" = None
-            if self._wire_arrays:
-                # None: the frame uses an encoding the array decoder
-                # does not cover (full outputs) - the object decoder
-                # handles it with identical validation.
-                txs = decode_place_arrays(payload)
-            if txs is None:
-                txs = decode_place_payload(payload)
+            txs = decode_place(payload, self._wire_arrays)
         except ProtocolError as exc:
             return {"ok": False, "code": "protocol", "error": str(exc)}
-        first = (
-            txs.first_txid
-            if isinstance(txs, WireBatch)
-            else txs[0].txid
-        )
+        first = first_txid_of(txs)
         partition = self._partition
         if not partition.owns_txid(first):
             return {
@@ -522,7 +466,7 @@ class PlacementWorker:
                 count = len(follower.txs)
                 run_next += count
                 total += count
-            batch = _merge_members([member.txs for member in group])
+            batch = merge_place_batches([member.txs for member in group])
             async with self._engine_lock:
                 try:
                     started = perf_counter()

@@ -165,9 +165,14 @@ class TestDifferential:
             placed = [engine.place_batch(chunk) for engine in engines]
             assert placed[0] == placed[1]
         stats = [engine.stats().as_dict() for engine in engines]
-        # The spec string names the backend - the one field that is
-        # *supposed* to differ; everything else must match exactly.
+        # The spec string and the kernel-validation flag name the
+        # backend - the fields that are *supposed* to differ; everything
+        # else must match exactly.
         assert stats[0].pop("spec") != stats[1].pop("spec")
+        assert stats[0].pop("kernel_validation") is False
+        assert (
+            stats[1].pop("kernel_validation") is engines[1].kernel_validation
+        )
         assert stats[0] == stats[1]
 
 

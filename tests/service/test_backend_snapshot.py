@@ -56,9 +56,12 @@ def test_numpy_snapshot_restores_numpy_by_default(
     assert first + second == expected
     stats_np = restored.stats().as_dict()
     stats_py = reference.stats().as_dict()
-    # The spec string names the backend - the one expected difference.
+    # The spec string and the kernel-validation flag name the backend -
+    # the expected differences.
     assert stats_np.pop("spec").endswith("backend=numpy")
     assert stats_py.pop("spec").endswith("backend=python")
+    assert stats_np.pop("kernel_validation") is restored.kernel_validation
+    assert stats_py.pop("kernel_validation") is False
     assert stats_np == stats_py
 
 

@@ -425,6 +425,84 @@ class TestWireBatchPlumbing:
         ]
 
 
+    def test_degraded_server_warns_and_serves_object_path(
+        self, monkeypatch
+    ):
+        """The single-process server shares the worker's decision and
+        its degrade warning."""
+        import repro.core.backends.numpy_backend as backend_module
+
+        from repro.service.server import PlacementServer
+
+        monkeypatch.setattr(backend_module, "load_kernel", lambda: None)
+        engine = PlacementEngine(
+            make_placer("optchain", N_SHARDS, backend="numpy")
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            PlacementServer(engine, port=0)
+        assert not engine.wire_arrays
+        assert any(
+            "server wire fast path is disabled" in str(entry.message)
+            for entry in caught
+            if entry.category is RuntimeWarning
+        ), [str(entry.message) for entry in caught]
+        stats = engine.stats().as_dict()
+        assert stats["kernel_validation"] is False
+
+    @requires_kernel
+    def test_kernel_server_reports_arrays_path(self, capsys):
+        from repro.cli import main as cli_main
+        from repro.datasets.synthetic import synthetic_stream
+        from repro.obs.prom import scrape_metrics
+        from repro.service.client import AsyncBinaryPlacementClient
+        from repro.service.server import PlacementServer
+
+        engine = PlacementEngine(
+            make_placer("optchain", N_SHARDS, backend="numpy")
+        )
+        stream = synthetic_stream(500, seed=3)
+
+        async def main():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                server = PlacementServer(engine, port=0, metrics_port=0)
+            assert not [
+                entry
+                for entry in caught
+                if entry.category is RuntimeWarning
+            ]
+            await server.start()
+            try:
+                client = await AsyncBinaryPlacementClient.connect(
+                    port=server.port
+                )
+                assert await client.place(stream) == make_placer(
+                    "optchain", N_SHARDS
+                ).place_stream(stream)
+                reply = await client.request({"op": "stats"})
+                await client.close()
+                families = await scrape_metrics(
+                    "127.0.0.1", server.metrics_port
+                )
+                assert (
+                    await asyncio.to_thread(
+                        cli_main, ["stats", f"127.0.0.1:{server.port}"]
+                    )
+                    == 0
+                )
+            finally:
+                await server.stop()
+            assert reply["stats"]["kernel_validation"] is True
+            assert reply["obs"]["wire_path"] == "arrays"
+            info = families["repro_service_info"]
+            labels = dict(next(iter(info["samples"]))[1])
+            assert labels["wire_path"] == "arrays"
+
+        asyncio.run(main())
+        assert "arrays (kernel validation on)" in capsys.readouterr().out
+
+
 class TestShardedWireLane:
     @requires_kernel
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
@@ -459,6 +537,9 @@ class TestShardedWireLane:
                     served.extend(
                         await client.place(stream[offset : offset + 250])
                     )
+                reply = await client.request({"op": "stats"})
+                assert reply["stats"]["kernel_validation"] is True
+                assert reply["obs"]["wire_path"] == "arrays"
                 await client.close()
             finally:
                 await server.stop()

@@ -58,6 +58,8 @@ class TestSingleProcess:
                 info = families["repro_service_info"]
                 labels = dict(next(iter(info["samples"]))[1])
                 assert labels["mode"] == "single"
+                # A drift monitor keeps binary frames on the object path.
+                assert labels["wire_path"] == "objects"
                 assert _hist_count(families, partition="0") == len(
                     stream
                 ) // 250
@@ -224,6 +226,10 @@ class TestSharded:
                     )
                     > 0
                 )
+                info = families["repro_service_info"]
+                labels = dict(next(iter(info["samples"]))[1])
+                assert labels["mode"] == "sharded"
+                assert labels["wire_path"] == "objects"
                 # Drift rides the workers; merged "all" gauge exported.
                 assert (
                     sample_value(
@@ -265,6 +271,10 @@ class TestSharded:
                 )
                 # No checkpoint path: no WAL, and drift was not enabled.
                 assert obs["wal"] is None
+                # The plain "optchain" spec is the python placer: no
+                # kernel, so the workers decode to objects.
+                assert obs["wire_path"] == "objects"
+                assert reply["stats"]["kernel_validation"] is False
                 await client.close()
             finally:
                 await server.stop()
