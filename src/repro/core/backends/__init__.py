@@ -1,10 +1,11 @@
 """Optional accelerated placement backends.
 
-The default backend is the pure-python fused hot path in
+The default backend is the python decision path in
 :mod:`repro.core.optchain` - always present, always the golden
 reference. This package adds a ``numpy`` backend: typed-array scorer
-state plus a small compiled kernel for the fused batch loop,
-bit-identical to the python path and selected per-strategy through
+state plus a small compiled kernel that runs the same decision path
+over whole batches, bit-identical to python and selected per-strategy
+through
 :class:`repro.core.spec.StrategySpec` (``backend=numpy``) or
 ``make_placer(..., backend="numpy")``.
 
@@ -34,8 +35,8 @@ def backend_unavailable_reason(name: str) -> str | None:
 
     ``python`` is always available. ``numpy`` needs the numpy package;
     the compiled kernel is *not* required (strategies fall back to the
-    generic per-transaction loop over typed-array state when the
-    kernel cannot be built, slower but identical).
+    python decision path over typed-array state when the kernel cannot
+    be built, slower but identical).
     """
     if name == "python":
         return None

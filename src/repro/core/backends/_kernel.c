@@ -1,8 +1,11 @@
-/* Fused OptChain placement kernel - the compiled twin of
- * OptChainPlacer.place_batch (src/repro/core/optchain.py).
+/* Fused OptChain placement kernel - the compiled twin of the python
+ * decision path that OptChainPlacer.place_batch runs per transaction
+ * (src/repro/core/optchain.py): T2SScorer.add_transaction_raw, then
+ * OptChainPlacer._fused_choose, then the commit (scorer.place,
+ * proxy.record, the strategy's shard-size bump).
  *
  * Bit-identity contract: every floating-point operation below is a
- * literal transcription of the pure-python fused loop, in the same
+ * literal transcription of those python functions, in the same
  * order, including the "useless" ones (the double reciprocal in the
  * expected-total formula, `total * 1.0` for the own-input latency
  * term). The load proxy's lazy heaps are replicated with CPython's
@@ -13,11 +16,11 @@
  * that decides exact fitness ties. A side-effect-free argmax over the
  * loads would therefore diverge from the python path.
  *
- * The kernel only ever runs for the configuration the python fused
- * path accepts (offline load proxy, shard_load mode, spenders
- * divisor, prune_epsilon > 0, fused-compatible scorer); everything
- * else falls back to the per-transaction python loop in
- * numpy_backend.py.
+ * The kernel only ever runs for the configuration
+ * NumpyOptChainPlacer._kernel_ready accepts (offline load proxy,
+ * shard_load mode, spenders divisor, prune_epsilon > 0,
+ * fused-compatible scorer); everything else runs the python decision
+ * path over the numpy state (numpy_backend.py).
  *
  * Dense-row representation: p'(v) vectors live as rows of an
  * (n_rows x n_shards) float64 matrix plus a live mask. Stored masses
@@ -99,9 +102,8 @@ typedef struct {
 
     /* -- batch input (read-only) --------------------------------------- */
     int64_t n_tx;
-    const int64_t *parents;      /* deduped, first-appearance order */
-    const int64_t *par_off;      /* n_tx + 1 */
-    const int32_t *n_outpoints;  /* raw (pre-dedup) outpoint count */
+    const int64_t *parents;  /* raw outpoint txids, undeduplicated */
+    const int64_t *par_off;  /* n_tx + 1 */
 
     /* -- scratch (caller-allocated, n_shards-sized unless noted) ------- */
     double *raw;             /* dense p'(u) accumulator, zeroed */
@@ -113,17 +115,13 @@ typedef struct {
     int64_t *pb_ids;         /* zero-heap push-back, zero_cap-sized */
     double *pb_vals;         /* heap push-back, heap_cap-sized */
     int64_t *pb_idx;         /* heap push-back, heap_cap-sized */
+    int64_t *dedup;          /* one tx's deduped parents, dedup_cap-sized */
+    int64_t dedup_cap;
 
     /* -- results ------------------------------------------------------- */
     int64_t n_done;          /* transactions fully committed this call */
     int64_t error_txid;
     int64_t error_parent;
-
-    /* -- raw-parents mode (wire / engine shared marshal) ---------------- */
-    int32_t raw_parents;     /* parents carry raw outpoint txids */
-    int32_t _pad0;
-    int64_t *dedup;          /* scratch: one tx's deduped parents */
-    int64_t dedup_cap;
 } KState;
 
 /* ---------------------------------------------------------------------
@@ -512,37 +510,32 @@ int place_batch(KState *s) {
         int64_t p1 = s->par_off[t + 1];
         const int64_t *par = s->parents + p0;
         int64_t n_par = p1 - p0;
-        int64_t n_raw;
-        if (s->raw_parents) {
-            /* One transaction's outpoints straight off the wire, not
-             * yet deduplicated. Keep first-appearance order - exactly
-             * what the python marshal's dict.fromkeys produces. Input
-             * counts are tiny, so the quadratic scan beats any hashing
-             * setup. */
-            n_raw = n_par;
-            if (n_par > 1) {
-                if (n_par > s->dedup_cap) {
-                    return KERN_INTERNAL;
-                }
-                int64_t nd = 0;
-                for (int64_t p = 0; p < n_par; p++) {
-                    int64_t parent = par[p];
-                    int dup = 0;
-                    for (int64_t j = 0; j < nd; j++) {
-                        if (s->dedup[j] == parent) {
-                            dup = 1;
-                            break;
-                        }
-                    }
-                    if (!dup) {
-                        s->dedup[nd++] = parent;
-                    }
-                }
-                par = s->dedup;
-                n_par = nd;
+        /* The recurrence branches on the raw outpoint count, exactly as
+         * T2SScorer.add_transaction_raw does; everything after it sees
+         * the parents deduplicated in first-appearance order. Input
+         * counts are tiny, so the quadratic scan beats any hashing
+         * setup. */
+        int64_t n_raw = n_par;
+        if (n_par > 1) {
+            if (n_par > s->dedup_cap) {
+                return KERN_INTERNAL;
             }
-        } else {
-            n_raw = s->n_outpoints[t];
+            int64_t nd = 0;
+            for (int64_t p = 0; p < n_par; p++) {
+                int64_t parent = par[p];
+                int dup = 0;
+                for (int64_t j = 0; j < nd; j++) {
+                    if (s->dedup[j] == parent) {
+                        dup = 1;
+                        break;
+                    }
+                }
+                if (!dup) {
+                    s->dedup[nd++] = parent;
+                }
+            }
+            par = s->dedup;
+            n_par = nd;
         }
         int64_t nnz = 0;
         double bound = INFINITY;
@@ -588,8 +581,8 @@ int place_batch(KState *s) {
             }
         } else if (n_par > 0) {
             /* Parents are deduplicated in first-appearance order.
-             * Validate all before registering any spender - the python
-             * loop raises before its spender loop runs. */
+             * Validate all before registering any spender - the
+             * scorer raises before its spender loop runs. */
             for (int64_t p = 0; p < n_par; p++) {
                 int64_t parent = par[p];
                 if (parent < 0 || parent >= txid) {

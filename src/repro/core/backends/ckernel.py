@@ -12,8 +12,9 @@ the ``auto`` backend falls back to pure python) instead of crashing at
 import time.
 
 Floating-point contract: the kernel must execute the exact double
-operations the pure-python fused loop performs, so fused
-multiply-adds and fast-math reassociation are disabled explicitly.
+operations of the python decision path (``add_transaction_raw`` +
+``_fused_choose``), so fused multiply-adds and fast-math
+reassociation are disabled explicitly.
 """
 
 from __future__ import annotations
@@ -108,7 +109,6 @@ class KState(ctypes.Structure):
         ("n_tx", ctypes.c_int64),
         ("parents", _c_int64_p),
         ("par_off", _c_int64_p),
-        ("n_outpoints", _c_int32_p),
         # scratch
         ("raw", _c_double_p),
         ("touched", _c_int64_p),
@@ -119,15 +119,12 @@ class KState(ctypes.Structure):
         ("pb_ids", _c_int64_p),
         ("pb_vals", _c_double_p),
         ("pb_idx", _c_int64_p),
+        ("dedup", _c_int64_p),
+        ("dedup_cap", ctypes.c_int64),
         # results
         ("n_done", ctypes.c_int64),
         ("error_txid", ctypes.c_int64),
         ("error_parent", ctypes.c_int64),
-        # raw-parents mode
-        ("raw_parents", ctypes.c_int32),
-        ("_pad0", ctypes.c_int32),
-        ("dedup", _c_int64_p),
-        ("dedup_cap", ctypes.c_int64),
     ]
 
 

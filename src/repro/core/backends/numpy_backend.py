@@ -7,23 +7,25 @@ two changes:
    vectors, spender counts, min-mass bounds) lives in growable
    C-contiguous numpy buffers behind the list-like adapters of
    :mod:`repro.core.backends.arrays`, so snapshots, deltas, partition
-   handoff, epoch sweeps, and the generic per-transaction placement
-   loop all keep reading/writing it through the unchanged python code
-   paths. All O(n_shards) state (shard sizes, the load proxy's lazy
-   heaps) stays in plain python lists - ``heapq`` and the handoff code
-   require real lists - and is copied into the kernel's typed scratch
-   before each batch and back after (O(n_shards + heap) per *batch*,
-   irrelevant at batch sizes the service uses).
+   handoff, epoch sweeps, and the python placement loops all keep
+   reading/writing it through the unchanged python code paths. All
+   O(n_shards) state (shard sizes, the load proxy's lazy heaps) stays
+   in plain python lists - ``heapq`` and the handoff code require real
+   lists - and is copied into the kernel's typed scratch before each
+   batch and back after (O(n_shards + heap) per *batch*, irrelevant at
+   batch sizes the service uses).
 
-2. **The hot loop.** ``place_batch`` marshals the micro-batch into a
-   deduped-parent CSR and runs the compiled fused kernel
+2. **The hot loop.** ``place_batch`` marshals the micro-batch into
+   the raw-outpoint CSR the serving wire path also feeds
+   (``place_batch_raw``) and runs the compiled fused kernel
    (``_kernel.c``) - the same T2S recurrence + pruned fitness argmax +
-   proxy update the pure-python fused loop performs, placement-for-
-   placement and bit-for-bit (the differential tests compare full
-   exported state). Configurations the fused python path would itself
-   refuse (live latency providers, adaptive-cap scorers, a zero
-   pruning epsilon, lazy argmin users) fall back to the generic
-   per-transaction loop, which is still backed by the numpy state.
+   proxy update as python's ``add_transaction_raw`` +
+   ``_fused_choose``, placement-for-placement and bit-for-bit (the
+   differential tests compare full exported state). Configurations
+   the kernel does not cover (live latency providers, adaptive-cap
+   scorers, a zero pruning epsilon, lazy argmin users, or no
+   compiled kernel at all) run the python placement loops instead,
+   still backed by the numpy state.
 
 The kernel additionally requires ``prune_epsilon > 0``: stored masses
 are then always positive, so the dense row representation can use
@@ -63,7 +65,6 @@ from repro.core.optchain import (
     OptChainPlacer,
     TopKOptChainPlacer,
 )
-from repro.core.placement import PlacementStrategy
 from repro.core.scorer import DEFAULT_SUPPORT_CAP, parse_support_cap
 from repro.core.t2s import AdaptiveTopKT2SScorer, T2SScorer, TopKT2SScorer
 from repro.errors import EngineError, PlacementError
@@ -222,10 +223,11 @@ class NumpyTopKT2SScorer(_NumpyStateMixin, TopKT2SScorer):
 class NumpyAdaptiveTopKT2SScorer(_NumpyStateMixin, AdaptiveTopKT2SScorer):
     """Adaptive-cap scoring over typed-array state.
 
-    Runs unfused like its parent (``fused_compatible`` is False - the
-    window accounting is inherently per-transaction), so it never
-    enters the compiled kernel; the typed-array state still makes its
-    snapshots interchangeable with the other numpy scorers.
+    Like its parent, not kernel-compatible (``fused_compatible`` is
+    False - the window accounting is inherently per-transaction), so
+    it always runs the python decision path; the typed-array state
+    still makes its snapshots interchangeable with the other numpy
+    scorers.
     """
 
     def __init__(
@@ -319,13 +321,12 @@ class _KernelDriver:
         self.pb_idx = np.zeros(self.heap_cap, dtype=np.int64)
         self.pb_ids = np.zeros(self.zero_cap, dtype=np.int64)
 
-    def run(self, parents, par_off, n_outs, n_tx, raw: bool = False) -> None:
-        """Run the kernel over the marshalled batch, committing state.
+    def run(self, parents, par_off, n_tx) -> None:
+        """Run the kernel over a raw-outpoint CSR batch, committing state.
 
-        With ``raw=True`` the CSR carries raw outpoint txids straight
-        off the wire (``n_outs`` is unused) and the kernel deduplicates
-        per transaction itself; otherwise parents arrive pre-deduped
-        with raw counts in ``n_outs``.
+        ``parents`` holds every outpoint's txid, undeduplicated;
+        ``par_off`` the ``n_tx + 1`` per-transaction offsets. The kernel
+        deduplicates each transaction's parents itself.
 
         Raises :class:`PlacementError` (with all prior transactions
         committed, matching the python loop) on an invalid input.
@@ -391,15 +392,13 @@ class _KernelDriver:
         st.rows_cap = len(mat.live)
         st.dropped_mass = scorer._dropped_mass
         st.truncated_vectors = scorer._truncated_vectors
-        st.raw_parents = 1 if raw else 0
-        if raw:
-            max_in = int(np.diff(par_off).max()) if n_tx else 0
-            if max_in > len(self.dedup):
-                self.dedup = np.zeros(
-                    max(max_in, 2 * len(self.dedup)), dtype=np.int64
-                )
-            st.dedup = _iptr(self.dedup)
-            st.dedup_cap = len(self.dedup)
+        max_in = int(np.diff(par_off).max())
+        if max_in > len(self.dedup):
+            self.dedup = np.zeros(
+                max(max_in, 2 * len(self.dedup)), dtype=np.int64
+            )
+        st.dedup = _iptr(self.dedup)
+        st.dedup_cap = len(self.dedup)
 
         st.scaled = _dptr(self.scaled)
         st.heap_vals = _dptr(self.heap_vals)
@@ -427,8 +426,6 @@ class _KernelDriver:
             st.n_tx = n_tx - done
             st.parents = _iptr(parents)
             st.par_off = _iptr(par_off[done:])
-            if not raw:
-                st.n_outpoints = n_outs[done:].ctypes.data_as(_c_int32_p)
             rc = lib.place_batch(ctypes.byref(st))
             done += st.n_done
             if rc == KERN_CAPACITY:
@@ -544,52 +541,26 @@ class NumpyOptChainPlacer(OptChainPlacer):
 
     def place_batch(self, txs) -> list[int]:
         if not self._kernel_ready():
-            # The inherited *fused* python loop would mutate the local
-            # dicts it appends (lost through the row adapters); the
-            # generic per-transaction loop commits through scorer.place
-            # and is correct against any state representation.
-            return PlacementStrategy.place_batch(self, txs)
-        scorer = self.scorer
-        if scorer._pending is not None:
-            raise PlacementError(
-                f"transaction {scorer._pending} was added but never placed"
-            )
-        if self._driver is None:
-            self._driver = _KernelDriver(self)
-        batch_start = len(self._assignment)
-
-        # Marshal to a deduped-parent CSR (first-appearance order, as
-        # Transaction.input_txids derives) plus raw outpoint counts -
-        # the recurrence branches on the raw count, the argmax seeding
-        # on the deduped count.
+            # Not super(): NumpyTopKOptChainPlacer aliases this method.
+            return OptChainPlacer.place_batch(self, txs)
+        # Marshal to the raw-outpoint CSR that place_batch_raw takes,
+        # stopping at the first stream-order violation.
         parents: list[int] = []
-        par_off = [0]
-        n_outs: list[int] = []
+        in_off = [0]
+        expected = len(self._assignment)
         bad_txid = -1
-        expected = batch_start
         for tx in txs:
-            txid = tx.txid
-            if txid != expected:
-                bad_txid = txid
+            if tx.txid != expected:
+                bad_txid = tx.txid
                 break
-            inputs = tx.inputs
-            if len(inputs) == 1:
-                parents.append(inputs[0].txid)
-            elif inputs:
-                parents.extend(
-                    dict.fromkeys(outpoint.txid for outpoint in inputs)
-                )
-            n_outs.append(len(inputs))
-            par_off.append(len(parents))
+            parents.extend([outpoint.txid for outpoint in tx.inputs])
+            in_off.append(len(parents))
             expected += 1
-        n_tx = len(n_outs)
-        if n_tx:
-            self._driver.run(
-                np.array(parents, dtype=np.int64),
-                np.array(par_off, dtype=np.int64),
-                np.array(n_outs, dtype=np.int32),
-                n_tx,
-            )
+        placed = self.place_batch_raw(
+            np.array(parents, dtype=np.int64),
+            np.array(in_off, dtype=np.int64),
+            len(in_off) - 1,
+        )
         if bad_txid >= 0:
             # Same behavior as the python loop: every transaction
             # before the offender is committed, then the stream-order
@@ -598,14 +569,14 @@ class NumpyOptChainPlacer(OptChainPlacer):
                 f"transactions must be placed in dense stream order: "
                 f"got {bad_txid}, expected {len(self._assignment)}"
             )
-        return self._assignment[batch_start:]
+        return placed
 
     def place_batch_raw(self, parents, in_off, n_tx) -> list[int]:
-        """Place a raw-CSR marshalled batch (wire arrays or the
-        engine's validation marshal): ``parents`` holds every raw
-        outpoint txid, ``in_off`` the per-transaction offsets. Dense
-        txid order is the caller's contract (the engine's marshal and
-        validator both check it). Requires :meth:`_kernel_ready`."""
+        """Place a raw-CSR marshalled batch (wire arrays, the engine's
+        validation marshal, or :meth:`place_batch`): ``parents`` holds
+        every raw outpoint txid, ``in_off`` the per-transaction offsets.
+        Dense txid order is the caller's contract. Requires
+        :meth:`_kernel_ready`."""
         scorer = self.scorer
         if scorer._pending is not None:
             raise PlacementError(
@@ -615,7 +586,7 @@ class NumpyOptChainPlacer(OptChainPlacer):
             self._driver = _KernelDriver(self)
         batch_start = len(self._assignment)
         if n_tx:
-            self._driver.run(parents, in_off, None, n_tx, raw=True)
+            self._driver.run(parents, in_off, n_tx)
         return self._assignment[batch_start:]
 
     def validation_driver(self) -> "_ValidationDriver | None":
@@ -771,8 +742,8 @@ class NumpyTopKOptChainPlacer(TopKOptChainPlacer):
     """Bounded-support OptChain over the numpy backend.
 
     Fixed caps run the compiled kernel (truncation inlined); the
-    adaptive ``auto:<rate>`` form uses the unfused adaptive scorer
-    through the generic loop, with state still in typed arrays.
+    adaptive ``auto:<rate>`` form runs the python decision path, with
+    state still in typed arrays.
     """
 
     backend = "numpy"

@@ -22,10 +22,12 @@ all, OptChain degrades to pure T2S placement exactly as the paper's
 O(n_shards): the proxy decays lazily (one global exponent instead of
 touching every shard), and the fitness argmax only evaluates the shards
 that can win - the sparse T2S support, the input shards, and the
-lightest remaining shard (served by a lazy min-heap). The fused paths
-reproduce the naive full-scan decisions exactly; see PERFORMANCE.md for
-the argument and ``tests/core/test_golden_equivalence.py`` for the
-enforcement.
+lightest remaining shard (served by a lazy min-heap). The pruned
+argmax reproduces the naive full-scan decisions exactly; see
+PERFORMANCE.md for the argument and
+``tests/core/test_golden_equivalence.py`` for the enforcement. The
+numpy backend's compiled kernel runs this same decision path over
+whole batches (:mod:`repro.core.backends`).
 """
 
 from __future__ import annotations
@@ -37,11 +39,7 @@ from typing import Any, Callable, Final, Sequence
 from repro.core.fitness import PAPER_LATENCY_WEIGHT, TemporalFitness
 from repro.core.l2s import L2SEstimator, ShardLatencyModel
 from repro.core.placement import PlacementStrategy
-from repro.core.scorer import (
-    DEFAULT_SUPPORT_CAP,
-    PlacementScorer,
-    truncate_support,
-)
+from repro.core.scorer import DEFAULT_SUPPORT_CAP, PlacementScorer
 from repro.core.t2s import T2SScorer, make_support_scorer
 from repro.errors import ConfigurationError, PlacementError
 from repro.utxo.transaction import Transaction
@@ -402,7 +400,8 @@ class LoadProxyLatencyProvider:
         self._rebuild_heaps()
 
     def _rebuild_heaps(self) -> None:
-        # In-place so long-lived bindings (the fused batch loop) survive.
+        # In place, as restore_state and the numpy kernel driver write
+        # them too, so no holder of the heap lists sees a stale copy.
         scaled = self._scaled
         self._heap[:] = [
             (value, index)
@@ -419,8 +418,10 @@ class LoadProxyLatencyProvider:
 class OptChainPlacer(PlacementStrategy):
     """Algorithm 1: Temporal-Fitness placement (T2S - 0.01 * L2S).
 
-    The decision logic is split into per-provider fast paths that all
-    reproduce the reference full-scan argmax bit-for-bit:
+    Every placement, single or batched, runs one recurrence
+    (``scorer.add_transaction_raw`` over the raw outpoint txids) and
+    then one argmax chosen per provider; each argmax reproduces the
+    reference full scan bit-for-bit:
 
     - offline load proxy + ``shard_load`` mode (the default): fully fused
       O(degree) argmax over {T2S support} | {input shards} | {lightest
@@ -500,414 +501,53 @@ class OptChainPlacer(PlacementStrategy):
             self.size_argmin()
 
     def place_batch(self, txs) -> list[int]:
-        """Batch placement with the per-transaction overhead hoisted out.
+        """Batch placement for the default configuration (offline load
+        proxy, ``shard_load`` mode).
 
-        For the default configuration (offline load proxy, ``shard_load``
-        mode) this runs one fused loop with every piece of state bound to
-        a local: the T2S recurrence, the pruned fitness argmax, and the
-        proxy update are inlined rather than dispatched per transaction.
-        Decisions and final state are identical to calling
-        :meth:`~repro.core.placement.PlacementStrategy.place` in a loop -
-        the golden equivalence tests compare both against the reference
-        implementation. Returns the shards of this batch only;
-        ``place_stream`` layers the full-assignment copy on top.
+        The same calls :meth:`place` makes per transaction, bound once
+        per batch: decisions and final state are identical. Returns the
+        shards of this batch only; ``place_stream`` layers the
+        full-assignment copy on top.
         """
-        if (
-            self._path != _PATH_FUSED
-            or self._size_argmin is not None
-            or not self.scorer.fused_compatible
-        ):
-            # The lazy argmin (enabled by other paths) expects a bump per
-            # placement, and opt-out scorers (the adaptive cap's window
-            # accounting) need their own add_transaction_raw; the
-            # generic loop provides both.
+        if self._path != _PATH_FUSED or self._size_argmin is not None:
+            # The lazy argmin (enabled by other paths) expects a bump
+            # per placement; the generic loop provides it.
             return super().place_batch(txs)
         proxy = self._proxy
-        scorer = self.scorer
-        if scorer._pending is not None:
-            raise PlacementError(
-                f"transaction {scorer._pending} was added but never placed"
-            )
-        weight = self.fitness.latency_weight
-        # Strategy state.
         assignment = self._assignment
-        strat_sizes = self._shard_sizes
-        min_size_val = self._min_shard_size
-        max_size_val = self._max_shard_size
-        # Scorer state.
-        p_prime_list = scorer._p_prime
-        spender_count = scorer._spender_count
-        output_count = scorer._output_count
-        min_mass = scorer._min_mass
-        sizes = scorer._shard_sizes
-        one_minus_alpha = scorer._scale
-        alpha = scorer.alpha
-        epsilon = scorer.prune_epsilon
-        spenders_div = scorer._spenders_divisor
-        # Bounded-support scorers (the "topk" kind) declare a cap; the
-        # exact scorer's is None and the branch below compiles to one
-        # cheap test per transaction.
-        support_cap = scorer.support_cap
-        truncate = truncate_support
-        # Proxy state (heaps are mutated in place, never rebound).
-        scaled = proxy._scaled
-        heap = proxy._heap
-        zero_heap = proxy._zero_heap
-        decay = proxy._decay
-        base_verify = proxy._base_verify
-        block = proxy._block
-        comm_expected = proxy._comm_expected
-        base_total = proxy._base_total
-        renorm_span = proxy._renorm_span
-        heap_limit = proxy._compact_limit
-        heappush_ = heappush
-        heappop_ = heappop
-        heapreplace_ = heapreplace
-        neg_inf = -math.inf
-        pos_inf = math.inf
-        has_scale = one_minus_alpha > 0.0
-        has_eps = epsilon > 0.0
-        n_placed = len(assignment)
-        batch_start = n_placed
-
+        add_raw = self.scorer.add_transaction_raw
+        choose = self._fused_choose
+        commit = self.scorer.place
+        record = proxy.record
+        bump = self._bump_shard_size
+        batch_start = len(assignment)
         for tx in txs:
             txid = tx.txid
-            if txid != n_placed:
+            if txid != len(assignment):
                 raise PlacementError(
                     f"transactions must be placed in dense stream order: "
-                    f"got {txid}, expected {n_placed}"
+                    f"got {txid}, expected {len(assignment)}"
                 )
-            # ---- T2S recurrence (add_transaction_raw, inlined) ----
-            inputs = tx.inputs
-            raw: dict[int, float] = {}
-            if len(inputs) == 1:
-                parent = inputs[0].txid
-                # OutPoint already guarantees txid >= 0.
-                if parent >= txid:
-                    raise PlacementError(
-                        f"transaction {txid} has invalid input {parent}"
-                    )
-                input_ids: Sequence[int] = (parent,)
-                divisor = spender_count[parent] + 1
-                spender_count[parent] = divisor
-                bound = pos_inf
-                if has_scale:
-                    parent_vector = p_prime_list[parent]
-                    if parent_vector:
-                        if not spenders_div:
-                            divisor = max(output_count[parent], divisor)
-                        factor = one_minus_alpha / divisor
-                        bound = min_mass[parent] * factor
-                        if has_eps and bound <= epsilon:
-                            raw = {
-                                shard: mass
-                                for shard, r in parent_vector.items()
-                                if (mass := r * factor) > epsilon
-                            }
-                            bound = (
-                                min(raw.values()) if raw else pos_inf
-                            )
-                        else:
-                            raw = {
-                                shard: r * factor
-                                for shard, r in parent_vector.items()
-                            }
-            elif inputs:
-                # Dedup in first-appearance order, exactly what
-                # Transaction.input_txids (and the scorer) derive.
-                seen: dict[int, None] = {}
-                for outpoint in inputs:
-                    seen.setdefault(outpoint.txid, None)
-                input_ids = tuple(seen)
-                for parent in input_ids:
-                    if not 0 <= parent < txid:
-                        raise PlacementError(
-                            f"transaction {txid} has invalid input {parent}"
-                        )
-                for parent in input_ids:
-                    spender_count[parent] += 1
-                bound = pos_inf
-                if has_scale:
-                    get = None
-                    for parent in input_ids:
-                        parent_vector = p_prime_list[parent]
-                        if not parent_vector:
-                            continue
-                        if spenders_div:
-                            divisor = spender_count[parent]
-                        else:
-                            divisor = max(
-                                output_count[parent], spender_count[parent]
-                            )
-                        factor = one_minus_alpha / divisor
-                        if get is None:
-                            raw = {
-                                shard: mass * factor
-                                for shard, mass in parent_vector.items()
-                            }
-                            get = raw.get
-                        else:
-                            for shard, mass in parent_vector.items():
-                                raw[shard] = get(shard, 0.0) + mass * factor
-                if has_eps and raw:
-                    raw = {
-                        shard: mass
-                        for shard, mass in raw.items()
-                        if mass > epsilon
-                    }
-                if raw:
-                    bound = min(raw.values())
-            else:
-                input_ids = ()
-                bound = pos_inf
-            if support_cap is not None and len(raw) > support_cap:
-                # Same helper, same accounting order as the unfused
-                # TopKT2SScorer.add_transaction_raw - the golden tests
-                # compare both paths placement-for-placement.
-                raw, dropped = truncate(raw, support_cap)
-                bound = min(raw.values())
-                scorer._dropped_mass += dropped
-                scorer._truncated_vectors += 1
-            p_prime_list.append(raw)
-            min_mass.append(bound)
-            spender_count.append(0)
-            if not spenders_div:
-                n_outputs = len(tx.outputs)
-                output_count.append(n_outputs if n_outputs > 1 else 1)
-
-            # ---- fused fitness argmax (see _fused_choose) ----
-            floor_total = -1.0
-            while zero_heap:
-                if scaled[zero_heap[0]] == 0.0:
-                    floor_total = base_total
-                    break
-                heappop_(zero_heap)
-            if floor_total < 0.0:
-                while True:
-                    value, index = heap[0]
-                    current = scaled[index]
-                    if current == value:
-                        verify = base_verify * (
-                            1.0 + value * proxy._scale / block
-                        )
-                        floor_total = comm_expected + 1.0 / (1.0 / verify)
-                        break
-                    heapreplace_(heap, (current, index))
-            best_id = -1
-            best_fitness = neg_inf
-            best_l2s = pos_inf
-            raw_get = raw.get
-            pscale = proxy._scale
-            if input_ids:
-                has_inputs = True
-                cross_floor = floor_total * 2.0
-                if len(input_ids) == 1:
-                    # Single input shard, no set or inner loop: evaluate
-                    # it directly (it is almost always the winner).
-                    only_input = assignment[input_ids[0]]
-                    input_shards: "set[int] | tuple" = (only_input,)
-                    shard = only_input
-                    value = scaled[shard]
-                    if value == 0.0:
-                        total = base_total
-                    else:
-                        verify = base_verify * (1.0 + value * pscale / block)
-                        total = comm_expected + 1.0 / (1.0 / verify)
-                    l2s = total
-                    mass_in = raw_get(shard)
-                    if mass_in is None:
-                        best_fitness = 0.0 - weight * l2s
-                    else:
-                        # The input shard holds at least its parent, so
-                        # sizes[shard] >= 1: no max(1, .) needed.
-                        best_fitness = mass_in / sizes[shard] - weight * l2s
-                    best_id = shard
-                    best_l2s = l2s
-                else:
-                    input_shards = {
-                        assignment[parent] for parent in input_ids
-                    }
-                    if len(input_shards) == 1:
-                        (only_input,) = input_shards
-                    else:
-                        only_input = -1
-                    for shard in input_shards:
-                        value = scaled[shard]
-                        if value == 0.0:
-                            total = base_total
-                        else:
-                            verify = base_verify * (
-                                1.0 + value * pscale / block
-                            )
-                            total = comm_expected + 1.0 / (1.0 / verify)
-                        l2s = (
-                            total * 1.0
-                            if shard == only_input
-                            else total * 2.0
-                        )
-                        mass = raw_get(shard)
-                        if mass is None:
-                            fitness = 0.0 - weight * l2s
-                        else:
-                            fitness = mass / sizes[shard] - weight * l2s
-                        if (
-                            fitness > best_fitness
-                            or (
-                                fitness == best_fitness
-                                and (
-                                    l2s < best_l2s
-                                    or (
-                                        l2s == best_l2s
-                                        and shard < best_id
-                                    )
-                                )
-                            )
-                        ):
-                            best_id = shard
-                            best_fitness = fitness
-                            best_l2s = l2s
-            else:
-                input_shards = ()
-                has_inputs = False
-                only_input = -1
-                cross_floor = floor_total
-            weighted_cross_floor = weight * cross_floor
-            min_size = min_size_val if min_size_val > 0 else 1
-            # One C-level max() plus one divide decide whether any shard
-            # can possibly beat the current best: max_mass/min_size
-            # over-estimates every shard's T2S score and the floor
-            # under-estimates every latency term, so a failed gate means
-            # no shard in the support can win (exact - both bounds are
-            # monotone in rounded arithmetic). The common case once the
-            # input shard dominates: no scan at all.
-            if raw and (
-                max(raw.values()) / min_size - weighted_cross_floor
-                >= best_fitness
-            ):
-                margin = 1e-6 * (
-                    (
-                        best_fitness
-                        if best_fitness >= 0.0
-                        else -best_fitness
-                    )
-                    + weighted_cross_floor
-                    + 1.0
-                )
-                threshold = (
-                    best_fitness + weighted_cross_floor - margin
-                ) * min_size
-                for shard, mass in raw.items():
-                    if mass < threshold or shard == only_input:
-                        continue
-                    if only_input < 0 and has_inputs and shard in input_shards:
-                        continue
-                    size = sizes[shard]
-                    t2s = mass / (size if size > 0 else 1)
-                    if t2s - weighted_cross_floor < best_fitness:
-                        continue
-                    value = scaled[shard]
-                    if value == 0.0:
-                        total = base_total
-                    else:
-                        verify = base_verify * (1.0 + value * pscale / block)
-                        total = comm_expected + 1.0 / (1.0 / verify)
-                    l2s = total * 2.0 if has_inputs else total
-                    fitness = t2s - weight * l2s
-                    if (
-                        fitness > best_fitness
-                        or (
-                            fitness == best_fitness
-                            and (
-                                l2s < best_l2s
-                                or (l2s == best_l2s and shard < best_id)
-                            )
-                        )
-                    ):
-                        best_id = shard
-                        best_fitness = fitness
-                        best_l2s = l2s
-                        margin = 1e-6 * (
-                            abs(best_fitness) + weighted_cross_floor + 1.0
-                        )
-                        threshold = (
-                            best_fitness + weighted_cross_floor - margin
-                        ) * min_size
-            if 0.0 - weighted_cross_floor >= best_fitness:
-                candidates = set(raw)
-                candidates.update(input_shards)
-                spill_id, spill_total = proxy.lightest_excluding(candidates)
-                if spill_id >= 0:
-                    l2s = (
-                        spill_total
-                        if not has_inputs
-                        else spill_total * 2.0
-                    )
-                    fitness = 0.0 - weight * l2s
-                    if (
-                        fitness > best_fitness
-                        or (
-                            fitness == best_fitness
-                            and (
-                                l2s < best_l2s
-                                or (l2s == best_l2s and spill_id < best_id)
-                            )
-                        )
-                    ):
-                        best_id = spill_id
-            shard = best_id
-
-            # ---- commit (scorer.place + bookkeeping + proxy.record) ----
-            raw[shard] = new_mass = raw.get(shard, 0.0) + alpha
-            if new_mass < min_mass[txid]:
-                min_mass[txid] = new_mass
-            sizes[shard] += 1
+            input_ids = [outpoint.txid for outpoint in tx.inputs]
+            shard = choose(
+                input_ids, add_raw(txid, input_ids, len(tx.outputs)), proxy
+            )
+            commit(txid, shard)
+            record(shard)
             assignment.append(shard)
-            n_placed += 1
-            old_size = strat_sizes[shard]
-            strat_sizes[shard] = old_size + 1
-            if old_size + 1 > max_size_val:
-                # Written through immediately (not at loop exit) so an
-                # exception mid-batch cannot strand a stale attribute.
-                max_size_val = old_size + 1
-                self._max_shard_size = max_size_val
-            if old_size == min_size_val:
-                count = self._min_size_count - 1
-                if count == 0:
-                    min_size_val = old_size + 1
-                    self._min_shard_size = min_size_val
-                    count = strat_sizes.count(min_size_val)
-                self._min_size_count = count
-            step = proxy._step + 1
-            proxy._step = step
-            span = step - proxy._offset
-            pscale = decay ** span
-            proxy._scale = pscale
-            old_value = scaled[shard]
-            value = old_value + 1.0 / pscale
-            scaled[shard] = value
-            if old_value == 0.0:
-                heappush_(heap, (value, shard))
-            if span >= renorm_span:
-                proxy._renormalize()
-            elif len(heap) > heap_limit:
-                proxy._compact()
+            bump(shard)
         return assignment[batch_start:]
 
     def _decide(self, tx: Transaction) -> int:
         """Score ``tx`` and pick its shard, leaving the decision
         uncommitted (``scorer.place`` pending)."""
-        scorer = self.scorer
         txid = tx.txid
-        inputs = tx.inputs
-        # One outpoint needs no dedup pass; input_txids builds a dict
-        # and a tuple per call, which is measurable at this rate.
-        if len(inputs) == 1:
-            input_ids: Sequence[int] = (inputs[0].txid,)
-        elif inputs:
-            input_ids = tx.input_txids
-        else:
-            input_ids = ()
-        raw = scorer.add_transaction_raw(txid, input_ids, len(tx.outputs))
+        # Raw outpoint txids: the scorer deduplicates them itself and
+        # branches on the raw count, as the compiled kernel does.
+        input_ids = [outpoint.txid for outpoint in tx.inputs]
+        raw = self.scorer.add_transaction_raw(
+            txid, input_ids, len(tx.outputs)
+        )
         path = self._path
         if path == _PATH_FUSED:
             return self._fused_choose(input_ids, raw, self._proxy)
@@ -934,8 +574,11 @@ class OptChainPlacer(PlacementStrategy):
         drift monitor keeps an exact-path shadow placer whose history
         tracks production assignments (so both policies are compared
         against the same past), and uses the returned preference as the
-        one-step counterfactual. State afterwards is identical to
-        ``force_place(tx, shard)``.
+        one-step counterfactual. Scorer state, assignment and shard
+        sizes afterwards are identical to ``force_place(tx, shard)``'s.
+        The load proxy records the same placement, but the argmax also
+        refreshes its lazy heaps (and may demote sub-resolution loads
+        to exact zero), so the proxy's exported layout can differ.
         """
         if tx.txid != len(self._assignment):
             raise PlacementError(
@@ -955,9 +598,8 @@ class OptChainPlacer(PlacementStrategy):
         return preferred
 
     def _on_forced(self, tx: Transaction, shard: int) -> None:
-        self.scorer.add_transaction_raw(
-            tx.txid, tx.input_txids, len(tx.outputs)
-        )
+        input_ids = [outpoint.txid for outpoint in tx.inputs]
+        self.scorer.add_transaction_raw(tx.txid, input_ids, len(tx.outputs))
         self.scorer.place(tx.txid, shard)
         if self._proxy is not None:
             self._proxy.record(shard)
@@ -1279,7 +921,7 @@ class OptChainPlacer(PlacementStrategy):
 class TopKOptChainPlacer(OptChainPlacer):
     """OptChain with bounded-support (top-k) T2S scoring.
 
-    Same Temporal-Fitness decision rule, same fused hot path, but the
+    Same Temporal-Fitness decision rule, same decision path, but the
     scorer retains only the ``support_cap`` largest-mass entries per
     vector (:class:`~repro.core.t2s.TopKT2SScorer`). On long streams
     the exact scorer's per-transaction cost grows with the shard count
@@ -1296,8 +938,9 @@ class TopKOptChainPlacer(OptChainPlacer):
     ``support_cap`` also accepts the adaptive form ``"auto:<rate>"``:
     the cap starts at 4 and doubles (up to ``n_shards``) while the
     windowed dropped-mass rate exceeds ``<rate>`` - see
-    :class:`~repro.core.t2s.AdaptiveTopKT2SScorer`. The adaptive
-    scorer runs unfused (its window accounting is per-transaction).
+    :class:`~repro.core.t2s.AdaptiveTopKT2SScorer`. The numpy
+    backend's kernel does not run the adaptive scorer (its window
+    accounting is per-transaction).
     """
 
     name = "optchain-topk"

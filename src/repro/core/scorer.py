@@ -20,19 +20,18 @@ The implementations live in :mod:`repro.core.t2s`:
   provably, since a vector over ``n_shards`` shards can never exceed
   ``n_shards`` entries, so truncation never fires.
 
-**The hot-path contract.** ``OptChainPlacer.place_batch`` fuses the
-scorer's recurrence into one loop by binding internal state to locals
-instead of dispatching per transaction. A scorer that wants to stay on
-that fused path must therefore expose the exact-scorer state layout
-(``_p_prime``, ``_spender_count``, ``_min_mass``, ``_shard_sizes``,
-``alpha``, ``prune_epsilon``, ``_scale``, ``_spenders_divisor``) plus
-the declarative truncation knob ``support_cap`` (``None`` = unbounded);
-the fused loop applies :func:`truncate_support` itself whenever a new
-vector's support exceeds the cap, byte-for-byte what
-``TopKT2SScorer.add_transaction_raw`` does on the unfused path. Scorers
-with a different layout still work everywhere - every unfused path
-(:meth:`PlacementScorer.add_transaction_raw` per transaction) goes
-through the interface - they just fall off the fused fast path.
+**The kernel contract.** Every python placement path goes through this
+interface (:meth:`PlacementScorer.add_transaction_raw` then
+:meth:`PlacementScorer.place`, once per transaction). The numpy
+backend's compiled kernel instead runs the recurrence itself over the
+scorer's typed-array state, so a scorer it may run must keep the
+exact-scorer semantics plus the declarative truncation knob
+``support_cap`` (``None`` = unbounded): the kernel applies the same
+truncation as :func:`truncate_support` whenever a new vector's support
+exceeds the cap, byte-for-byte what
+``TopKT2SScorer.add_transaction_raw`` does. Scorers with
+per-transaction bookkeeping of their own declare
+``fused_compatible = False`` and stay on the python path.
 """
 
 from __future__ import annotations
@@ -72,14 +71,14 @@ class PlacementScorer(ABC):
     kind: str = ""
 
     #: Max retained entries per vector; ``None`` means unbounded. The
-    #: fused hot path reads this declaratively (see module docstring).
+    #: compiled kernel reads this declaratively (see module docstring).
     support_cap: int | None = None
 
-    #: Whether the fused batch loop may inline this scorer's recurrence
-    #: (reading the exact-scorer state layout + ``support_cap`` once per
-    #: batch). Scorers with per-transaction bookkeeping of their own -
-    #: the adaptive cap's dropped-mass window - set this False and run
-    #: through the unfused per-transaction interface instead.
+    #: Whether the compiled kernel may run this scorer's recurrence
+    #: (exact-scorer semantics + ``support_cap``). Scorers with
+    #: per-transaction bookkeeping of their own - the adaptive cap's
+    #: dropped-mass window - set this False and always run through
+    #: the python interface instead.
     fused_compatible: bool = True
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -159,9 +158,8 @@ def truncate_support(
     the lower shard id; survivors keep their original insertion order
     (dict order feeds the multi-parent accumulation order downstream,
     so reordering survivors would change later arithmetic). Dropped
-    mass is summed in rank order, which both call sites (the unfused
-    scorer and the fused batch loop) share, keeping the accounting
-    bit-identical between them.
+    mass is summed in rank order, as the compiled kernel's truncation
+    does too, keeping the accounting bit-identical between them.
     """
     ranked = sorted(vector.items(), key=lambda kv: (-kv[1], kv[0]))
     keep = {shard for shard, _ in ranked[:cap]}

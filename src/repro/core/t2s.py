@@ -230,6 +230,15 @@ class T2SScorer(PlacementScorer):
         the fly as ``mass / max(1, shard_sizes[shard])``. This is the
         placement hot path: it skips the normalized-dict allocation that
         :meth:`add_transaction` pays.
+
+        ``input_txids`` may repeat a parent (one entry per outpoint);
+        each distinct parent counts once. The recurrence branch follows
+        the *raw* count, as the compiled kernel's does: a single entry
+        scales one parent vector and stores the parent's scaled bound
+        (a lower bound) as its min-mass, while several entries - even
+        of one parent - accumulate and store the exact minimum.
+        Placements are the same either way; exported ``min_mass``
+        state is not, so OptChain always passes raw outpoint txids.
         """
         if self._pending is not None:
             raise PlacementError(
@@ -642,11 +651,10 @@ class AdaptiveTopKT2SScorer(TopKT2SScorer):
     while a large rate freezes the initial cap. Both are property-
     tested.
 
-    Not fused: the window accounting needs the per-transaction retained
-    mass, so this scorer runs through the unfused interface
-    (:attr:`fused_compatible` is False). That costs ~15% placement
-    throughput against the fused fixed-cap lane - the trade for not
-    shipping a mistuned cap.
+    Not kernel-compatible: the window accounting needs the
+    per-transaction retained mass, so this scorer always runs through
+    the python interface (:attr:`fused_compatible` is False), even on
+    the numpy backend - the trade for not shipping a mistuned cap.
     """
 
     kind = "topk-adaptive"

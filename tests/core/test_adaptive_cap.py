@@ -126,8 +126,8 @@ class TestAdaptiveScorer:
                 assert len(vector) <= cap + 1
 
     def test_adaptive_runs_unfused_but_matches_itself(self, stream):
-        """Fused dispatch must skip the adaptive scorer, and the
-        batched path must equal one-at-a-time placement."""
+        """The kernel never runs the adaptive scorer, and the batched
+        path must equal one-at-a-time placement."""
         batched = TopKOptChainPlacer(
             N_SHARDS, support_cap="auto:0.01", support_window=300
         )

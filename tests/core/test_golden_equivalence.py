@@ -44,8 +44,8 @@ class TestOptChainGolden:
         assert fast == seed
 
     def test_proxy_path_per_transaction(self, golden_stream, n_shards):
-        """place() in a loop hits _fused_choose instead of the batch
-        loop; both must match the seed."""
+        """place() in a loop, not place_batch, must match the seed
+        too."""
         placer = OptChainPlacer(n_shards)
         fast = [placer.place(tx) for tx in golden_stream]
         seed = SeedOptChainPlacer(n_shards).place_stream(golden_stream)
@@ -137,7 +137,7 @@ def test_seed_strategies_registered():
 
 
 class TestBatchErrorPaths:
-    """The fused batch loop must fail exactly like the per-tx path."""
+    """place_batch must fail exactly like the per-tx path."""
 
     @staticmethod
     def _tx(txid, parents):

@@ -175,6 +175,26 @@ class TestDifferential:
         )
         assert stats[0] == stats[1]
 
+    @pytest.mark.parametrize("method, kwargs", SPECS[:2])
+    def test_wide_duplicate_fan_in_bit_identical(self, method, kwargs):
+        """More raw outpoints than the kernel's initial dedup scratch
+        (64), mostly duplicates, through the object ``place_batch``."""
+        stream = [_tx(0, []), _tx(1, [0]), _tx(2, [0, 1])]
+        stream += [
+            _tx(i, [i - 1] * 40 + [0] * 30 + [i - 2, i - 3] * 5)
+            for i in range(3, 40)
+        ]
+        python, numpy_ = _pair(method, kwargs)
+        assert python.place_batch(stream[:5]) == numpy_.place_batch(
+            stream[:5]
+        )
+        assert python.place_batch(stream[5:]) == numpy_.place_batch(
+            stream[5:]
+        )
+        _assert_same_state(python, numpy_)
+        if numpy_._kernel_ready():
+            assert len(numpy_._driver.dedup) >= 80
+
 
 class TestErrorParity:
     def _messages(self, placers, batch):

@@ -6,8 +6,9 @@ Three contracts from the ISSUE:
    scorer end to end - placements, scorer state, snapshot
    restore-then-continue - because a vector over ``n_shards`` shards
    can never exceed ``n_shards`` entries, so truncation never fires.
-2. The fused ``place_batch`` hot path and the unfused per-transaction
-   path apply truncation identically (same helper, same accounting).
+2. ``place_batch`` and a per-transaction ``place`` loop leave identical
+   state, truncation accounting included, on streams with
+   duplicate-outpoint transactions; ``place_observed`` agrees with both.
 3. Shrinking the cap trades placement quality monotonically on the
    pinned stream: dropped mass grows as the cap shrinks, and the
    cross-shard drift vs exact shrinks to zero as the cap grows.
@@ -15,6 +16,7 @@ Three contracts from the ISSUE:
 
 from __future__ import annotations
 
+import copy
 import math
 
 import pytest
@@ -166,36 +168,53 @@ def test_cap_ge_n_shards_equivalence_property(seed, n_shards, extra):
     assert capped.scorer.dropped_mass_total == 0.0
 
 
-# -- fused vs unfused truncation -------------------------------------------
+# -- batch vs per-transaction placement ------------------------------------
 
 
-@pytest.mark.parametrize("cap", [1, 2, 4])
-def test_fused_batch_equals_per_transaction_path(topk_stream, cap):
-    n_shards = 16
-    batch = TopKOptChainPlacer(n_shards, support_cap=cap)
-    fused = batch.place_stream(topk_stream)
-    single = TopKOptChainPlacer(n_shards, support_cap=cap)
+def _optchain(cap, n_shards: int = 16):
+    """Exact OptChain for ``cap=None``, else the fixed-cap variant."""
+    if cap is None:
+        return OptChainPlacer(n_shards)
+    return TopKOptChainPlacer(n_shards, support_cap=cap)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 4, None])
+def test_batch_equals_per_transaction_path(topk_stream, cap):
+    batch = _optchain(cap)
+    batched = batch.place_stream(topk_stream)
+    single = _optchain(cap)
     looped = [single.place(tx) for tx in topk_stream]
-    assert fused == looped
-    assert (
-        batch.scorer.dropped_mass_total
-        == single.scorer.dropped_mass_total
-    )
-    assert (
-        batch.scorer.truncated_vector_count
-        == single.scorer.truncated_vector_count
-    )
-    assert batch.scorer._p_prime == single.scorer._p_prime
-    # _min_mass is a pruning *lower bound*, not canonical state: for
-    # duplicate-outpoint transactions the fused loop and the unfused
-    # path pick different (equally valid) bounds - a pre-existing
-    # asymmetry that cannot affect decisions. Check soundness, not
-    # equality; truncated vectors store the exact minimum on both
-    # paths and were compared via _p_prime above.
-    for scorer in (batch.scorer, single.scorer):
-        for vector, bound in zip(scorer._p_prime, scorer._min_mass):
-            if vector:
-                assert min(vector.values()) >= bound
+    assert batched == looped
+    # Full state, min-mass bounds included: both paths feed the scorer
+    # raw outpoint txids, so duplicate-outpoint transactions take the
+    # same recurrence branch.
+    assert batch.export_state() == single.export_state()
+
+
+@pytest.mark.parametrize("cap", [2, None])
+def test_place_observed_matches_place_and_force_place(topk_stream, cap):
+    """``place_observed`` prefers what ``place`` would choose and
+    commits what ``force_place`` would commit."""
+    stream = topk_stream[:3_000]
+    assert any(len(tx.inputs) != len(tx.input_txids) for tx in stream)
+    observed = _optchain(cap)
+    forced = _optchain(cap)
+    for tx in stream:
+        # An arbitrary external policy, so the shared history drifts
+        # away from what OptChain itself would have built.
+        shard = (3 * tx.txid) % observed.n_shards
+        duplicate = len(tx.inputs) != len(tx.input_txids)
+        if duplicate or tx.txid % 100 == 0:
+            expected = copy.deepcopy(observed).place(tx)
+            assert observed.place_observed(tx, shard) == expected
+        else:
+            observed.place_observed(tx, shard)
+        forced.force_place(tx, shard)
+    assert observed.scorer.export_state() == forced.scorer.export_state()
+    assert observed.assignment() == forced.assignment()
+    assert observed.shard_sizes() == forced.shard_sizes()
+    assert observed.min_shard_size == forced.min_shard_size
+    assert observed.max_shard_size == forced.max_shard_size
 
 
 def test_engine_batches_equal_raw_placer(topk_stream):
