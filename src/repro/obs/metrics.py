@@ -25,6 +25,7 @@ from repro.obs.prom import Family
 __all__ = [
     "ServiceMetrics",
     "merge_metric_dicts",
+    "obs_bundle",
     "rss_kb",
     "service_families",
 ]
@@ -375,3 +376,23 @@ def rss_kb() -> "int | None":
     except (OSError, ValueError, IndexError):
         return None
     return None
+
+
+def obs_bundle(
+    metrics: ServiceMetrics,
+    *,
+    wal: "dict[str, Any] | None",
+    drift: Any,
+    wire_path: str,
+) -> dict[str, Any]:
+    """Observability sidecar of a serving process's ``stats`` reply
+    (the single-process server's, and each worker's ``W_STATS``):
+    metrics, journal stats, RSS, the drift monitor's state (``drift``
+    is the monitor or None) and the ``wire_path`` label."""
+    return {
+        "metrics": metrics.as_dict(),
+        "wal": wal,
+        "rss_kb": rss_kb(),
+        "drift": drift.as_dict() if drift is not None else None,
+        "wire_path": wire_path,
+    }

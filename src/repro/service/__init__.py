@@ -21,6 +21,9 @@ millions of transactions:
 - :mod:`repro.service.server` - the single-process asyncio server:
   dual-codec connections, micro-batched dispatch into the fused
   ``place_batch`` hot path, graceful drain and checkpoint-on-shutdown.
+- :mod:`repro.service.sequencer` - the ``place``-request sequencer the
+  server and every sharded worker share: reorder buffer keyed by first
+  txid, coalescer, and per-request replay after an atomic reject.
 - :mod:`repro.service.partition` / :mod:`~repro.service.coordinator` /
   :mod:`~repro.service.worker` / :mod:`~repro.service.channel` - the
   horizontally sharded service (``repro serve --workers N``):

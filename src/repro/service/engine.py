@@ -227,6 +227,16 @@ class PlacementEngine:
         """Transactions placed so far."""
         return self._placer.n_placed
 
+    def assignment_slice(self, first: int, count: int) -> list[int]:
+        """Recorded shard assignments of an already-placed range.
+
+        This is what makes duplicate resubmission exact: a batch the
+        cursor already passed is answered from the assignment record
+        instead of re-placed (assignments persist after vector release,
+        so any below-cursor range is answerable).
+        """
+        return list(self._placer._assignment[first : first + count])
+
     @property
     def n_shards(self) -> int:
         """Number of shards served."""

@@ -15,7 +15,10 @@ Two driving modes, the standard pair from load-testing practice:
   from ``rate`` (transactions/second across all users), pipelined
   without waiting for responses. Offered load is independent of
   service speed, so queueing delay shows up in the latencies - the
-  honest way to ask "can it sustain X tx/s?".
+  honest way to ask "can it sustain X tx/s?". Each chunk's latency is
+  timed from its *due* time, not from its actual send: a generator
+  that falls behind its schedule (its event loop stalled) must not
+  hide the wait from the latencies (coordinated omission).
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ class LoadgenReport:
     n_chunks: int
     elapsed_s: float
     placements_per_s: float
-    #: Per-chunk request->response latency in milliseconds.
+    #: Per-chunk latency in milliseconds: request->response in closed
+    #: mode, due time->response in open mode.
     latency_ms_p50: float
     latency_ms_p95: float
     latency_ms_p99: float
@@ -210,12 +214,11 @@ async def run_loadgen_async(
             delay = due - time.perf_counter()
             if delay > 0:
                 await asyncio.sleep(delay)
-            sent = time.perf_counter()
             future = client.place_nowait(chunk, full_outputs)
 
-            def record(done, sent=sent) -> None:
+            def record(done, due=due) -> None:
                 nonlocal errors, last_error
-                latencies.append((time.perf_counter() - sent) * 1e3)
+                latencies.append((time.perf_counter() - due) * 1e3)
                 exc = done.exception()
                 if exc is not None:
                     errors += 1

@@ -193,14 +193,9 @@ class EnginePartition:
         return (txid // self.lease_length + 1) * self.lease_length
 
     def assignment_slice(self, first: int, count: int) -> list[int]:
-        """Recorded shard assignments of an already-placed owned range.
-
-        This is what makes duplicate resubmission exact: a batch the
-        cursor already passed is answered from the assignment record
-        instead of re-placed (assignments persist after vector release,
-        so any owned below-cursor range is answerable).
-        """
-        return list(self._placer._assignment[first : first + count])
+        """Recorded shard assignments of an already-placed owned range
+        (:meth:`PlacementEngine.assignment_slice`)."""
+        return self._engine.assignment_slice(first, count)
 
     # -- the active (write-lease) path -------------------------------------
 

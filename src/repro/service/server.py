@@ -6,11 +6,11 @@ Architecture (single process, single event loop):
   binary frames (:data:`~repro.service.wire.BIN_MAGIC`) or NDJSON - and
   spawn a task per request, so one slow ``place`` does not stall a
   pipelining client's later lines (responses carry the request ``id``).
-- **The sequencer** keys every ``place`` request by its first txid in a
-  reorder buffer. Clients replay disjoint chunks of one global stream
-  (see :mod:`repro.datasets.replay`); whichever order their requests
-  arrive in, only the contiguous run starting at the engine's
-  ``n_placed`` cursor is dispatchable.
+- **The sequencer** (:mod:`repro.service.sequencer`, shared with the
+  sharded worker) restores the global txid order: its reorder buffer
+  holds each ``place`` request until the engine's cursor reaches it,
+  and one dispatcher task coalesces each contiguous run into a single
+  micro-batch.
 - **The wire path.** When the engine validates in the compiled kernel
   and no drift monitor is attached
   (:attr:`~repro.service.engine.PlacementEngine.wire_arrays`), binary
@@ -19,16 +19,8 @@ Architecture (single process, single event loop):
   :class:`Transaction` objects - exactly as in the sharded worker.
   NDJSON requests, full-output frames, drift-monitored engines and
   hosts without the kernel take the object decoder; replies are
-  byte-identical either way.
-- **The dispatcher** (one task) pops that contiguous run, *coalesces*
-  consecutive requests into a single micro-batch (up to
-  ``max_batch_txs``; array runs concatenate, mixed runs become one
-  object list - :func:`~repro.service.wire.merge_place_batches`), and
-  feeds it to the engine entry of its kind (``place_wire_batch`` or
-  ``place_batch``) - one entry into the placement hot path for many
-  small requests. If a merged batch is rejected, it is
-  replayed request-by-request so only the offending request fails
-  (engine validation is atomic, so the retry is exact).
+  byte-identical either way. Each merged micro-batch enters the engine
+  entry of its kind (``place_wire_batch`` or ``place_batch``).
 - **Shutdown** (``shutdown`` op, SIGTERM, or SIGINT via the CLI) stops
   accepting work, drains every dispatchable request, answers the rest
   with a ``shutdown`` error, writes a checkpoint when a path is
@@ -44,13 +36,18 @@ from __future__ import annotations
 
 import asyncio
 import json
-from time import perf_counter
 from typing import Any
 
 from repro.errors import EngineError, ProtocolError
-from repro.obs.metrics import ServiceMetrics, rss_kb, service_families
+from repro.obs.metrics import (
+    ServiceMetrics,
+    obs_bundle,
+    rss_kb,
+    service_families,
+)
 from repro.obs.prom import MetricsServer, render_families
 from repro.service.engine import PlacementEngine
+from repro.service.sequencer import Sequencer
 from repro.service.wire import (
     BIN_MAGIC,
     KIND_PLACE,
@@ -61,8 +58,6 @@ from repro.service.wire import (
     decode_place,
     encode_error_response,
     encode_response_for,
-    first_txid_of,
-    merge_place_batches,
     op_of_kind,
     read_frame,
     wire_arrays_enabled,
@@ -73,37 +68,22 @@ from repro.utxo.transaction import Transaction
 DEFAULT_PORT = 9171
 
 
-def _place(
-    engine: PlacementEngine, batch: "list[Transaction] | WireBatch"
-) -> list[int]:
-    """Place one decoded batch through the engine entry of its kind."""
-    if isinstance(batch, WireBatch):
-        return engine.place_wire_batch(batch)
-    return engine.place_batch(batch)
+def _error_reply(exc: Exception) -> dict:
+    """The reply to a request whose handler raised ``exc``."""
+    if isinstance(exc, ProtocolError):
+        return {"ok": False, "code": "protocol", "error": str(exc)}
+    if isinstance(exc, EngineError):
+        return {"ok": False, "code": "engine", "error": str(exc)}
+    return {
+        "ok": False,
+        "code": "protocol",
+        "error": f"internal error handling request: {exc!r}",
+    }
 
 
-class _Pending:
-    """One enqueued ``place`` request waiting for dispatch."""
-
-    __slots__ = ("txs", "future")
-
-    def __init__(
-        self,
-        txs: "list[Transaction] | WireBatch",
-        future: "asyncio.Future[dict]",
-    ) -> None:
-        self.txs = txs
-        self.future = future
-
-    def resolve(self, shards: list[int]) -> None:
-        if not self.future.done():
-            self.future.set_result({"ok": True, "shards": shards})
-
-    def fail(self, code: str, error: str) -> None:
-        if not self.future.done():
-            self.future.set_result(
-                {"ok": False, "code": code, "error": error}
-            )
+def _json_line(response: dict) -> bytes:
+    """One NDJSON reply line."""
+    return json.dumps(response, separators=(",", ":")).encode() + b"\n"
 
 
 class PlacementServer:
@@ -132,7 +112,6 @@ class PlacementServer:
         self._host = host
         self._port = port
         self._max_batch_txs = max_batch_txs
-        self._max_reorder = max_reorder_requests
         self._max_line_bytes = max_line_bytes
         self._checkpoint_path = checkpoint_path
         self._checkpoint_compress = checkpoint_compress
@@ -141,7 +120,6 @@ class PlacementServer:
         # a full compaction. None = always full.
         self._checkpoint_delta_every = checkpoint_delta_every
         self._checkpoints_since_full = 0
-        self._pending: dict[int, _Pending] = {}
         self._server: asyncio.AbstractServer | None = None
         self._dispatcher: asyncio.Task | None = None
         self._dispatch_event = asyncio.Event()
@@ -153,6 +131,11 @@ class PlacementServer:
         #: two integer bumps per dispatched micro-batch, bench-gated
         #: under 5% of engine throughput).
         self.metrics = ServiceMetrics()
+        self._sequencer = Sequencer(
+            self.metrics,
+            max_batch_txs=max_batch_txs,
+            max_reorder_requests=max_reorder_requests,
+        )
         self._metrics_server: "MetricsServer | None" = (
             MetricsServer(
                 self._render_metrics,
@@ -206,12 +189,11 @@ class PlacementServer:
             except Exception:  # noqa: BLE001 - a dead dispatcher must
                 # not block the drain/checkpoint sequence below.
                 pass
-        for key in sorted(self._pending):
-            self._pending.pop(key).fail(
-                "shutdown",
-                "server shut down before the txid gap before this "
-                "request was filled",
-            )
+        self._sequencer.fail_all(
+            "shutdown",
+            "server shut down before the txid gap before this "
+            "request was filled",
+        )
         if self._checkpoint_path is not None:
             self._do_checkpoint(self._checkpoint_path)
         if self._metrics_server is not None:
@@ -273,18 +255,20 @@ class PlacementServer:
             except (ValueError, asyncio.LimitOverrunError):
                 # Line overran the stream limit; the framing is now
                 # unrecoverable on this connection.
-                await self._write(
+                await self._send(
                     writer,
                     write_lock,
-                    {
-                        "id": None,
-                        "ok": False,
-                        "code": "protocol",
-                        "error": (
-                            "request line exceeds "
-                            f"{self._max_line_bytes} bytes"
-                        ),
-                    },
+                    _json_line(
+                        {
+                            "id": None,
+                            "ok": False,
+                            "code": "protocol",
+                            "error": (
+                                "request line exceeds "
+                                f"{self._max_line_bytes} bytes"
+                            ),
+                        }
+                    ),
                 )
                 return
             except ConnectionError:
@@ -314,7 +298,7 @@ class PlacementServer:
                 # Framing is unrecoverable (bad magic mid-stream,
                 # oversized payload, EOF inside a frame): report once
                 # and close, mirroring the NDJSON overrun path.
-                await self._write_frame(
+                await self._send(
                     writer,
                     write_lock,
                     encode_error_response(0, "protocol", str(exc)),
@@ -364,35 +348,12 @@ class PlacementServer:
                         )
                     message.update(body)
                 response = await self._handle(message)
-        except ProtocolError as exc:
-            response = {"ok": False, "code": "protocol", "error": str(exc)}
-        except EngineError as exc:
-            response = {"ok": False, "code": "engine", "error": str(exc)}
         except Exception as exc:  # noqa: BLE001 - one bad frame must not
             # take the server down; report and keep serving.
-            response = {
-                "ok": False,
-                "code": "protocol",
-                "error": f"internal error handling request: {exc!r}",
-            }
-        await self._write_frame(
+            response = _error_reply(exc)
+        await self._send(
             writer, write_lock, encode_response_for(request_id, response)
         )
-
-    async def _write_frame(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        frame: bytes,
-    ) -> None:
-        try:
-            async with write_lock:
-                writer.write(frame)
-                await writer.drain()
-        except (ConnectionError, RuntimeError):
-            # Peer vanished mid-response; state already advanced and
-            # the stream stays consistent for everyone else.
-            pass
 
     async def _serve_line(
         self,
@@ -409,30 +370,22 @@ class PlacementServer:
             if isinstance(message, dict):
                 request_id = message.get("id")
             response = await self._handle(message)
-        except ProtocolError as exc:
-            response = {"ok": False, "code": "protocol", "error": str(exc)}
-        except EngineError as exc:
-            response = {"ok": False, "code": "engine", "error": str(exc)}
         except Exception as exc:  # noqa: BLE001 - one bad line must not
             # take the server down; report and keep serving.
-            response = {
-                "ok": False,
-                "code": "protocol",
-                "error": f"internal error handling request: {exc!r}",
-            }
+            response = _error_reply(exc)
         response["id"] = request_id
-        await self._write(writer, write_lock, response)
+        await self._send(writer, write_lock, _json_line(response))
 
-    async def _write(
+    async def _send(
         self,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
-        response: dict,
+        data: bytes,
     ) -> None:
-        payload = json.dumps(response, separators=(",", ":")).encode()
+        """Write one encoded reply (a frame or an NDJSON line)."""
         try:
             async with write_lock:
-                writer.write(payload + b"\n")
+                writer.write(data)
                 await writer.drain()
         except (ConnectionError, RuntimeError):
             # Peer vanished mid-response; nothing to do - state already
@@ -455,7 +408,12 @@ class PlacementServer:
             return {
                 "ok": True,
                 "stats": self._engine.stats().as_dict(),
-                "obs": self._obs_dict(),
+                "obs": obs_bundle(
+                    self.metrics,
+                    wal=None,
+                    drift=self._engine.drift_monitor,
+                    wire_path=wire_path_label(self._engine.wire_arrays),
+                ),
             }
         if op == "checkpoint":
             path = message.get("path") or self._checkpoint_path
@@ -477,16 +435,6 @@ class PlacementServer:
         asyncio.get_running_loop().create_task(self.stop())
         return {"ok": True}
 
-    def _obs_dict(self) -> dict[str, Any]:
-        """Observability sidecar of the ``stats`` reply."""
-        monitor = self._engine.drift_monitor
-        return {
-            "metrics": self.metrics.as_dict(),
-            "wal": None,
-            "rss_kb": rss_kb(),
-            "drift": monitor.as_dict() if monitor is not None else None,
-            "wire_path": wire_path_label(self._engine.wire_arrays),
-        }
 
     async def _render_metrics(self) -> str:
         """Scrape body for the single-process server (overridden by the
@@ -575,55 +523,12 @@ class PlacementServer:
                 f"batch of {len(txs)} exceeds max_batch_txs="
                 f"{self._max_batch_txs}"
             )
-        first = first_txid_of(txs)
-        if first < self._engine.n_placed:
-            # A range placed *in full* is answered from the recorded
-            # assignments: a client resubmitting after a lost response
-            # (timeout, connection reset) gets the identical shards
-            # back instead of an error. Partial overlap stays an error
-            # - it is a txid-accounting bug, not a retry.
-            if first + len(txs) <= self._engine.n_placed:
-                return {
-                    "ok": True,
-                    "shards": list(
-                        self._engine.placer._assignment[
-                            first : first + len(txs)
-                        ]
-                    ),
-                }
-            raise EngineError(
-                f"transactions from {first} were already placed "
-                f"(next expected: {self._engine.n_placed})"
-            )
-        if first in self._pending:
-            # Likely the same client retrying while its original
-            # request still waits for a txid gap: retryable, the
-            # original will answer (or fail) soon.
-            self.metrics.retry_replies += 1
-            return {
-                "ok": False,
-                "code": "retry",
-                "error": (
-                    f"a request starting at txid {first} is already "
-                    "queued; retry later"
-                ),
-            }
-        if len(self._pending) >= self._max_reorder:
-            self.metrics.overload_replies += 1
-            return {
-                "ok": False,
-                "code": "overload",
-                "error": (
-                    f"reorder buffer full ({self._max_reorder} "
-                    "requests waiting for earlier txids); retry later"
-                ),
-            }
-        future: "asyncio.Future[dict]" = (
-            asyncio.get_running_loop().create_future()
+        engine = self._engine
+        reply = self._sequencer.admit(
+            txs, None, engine.n_placed, engine.assignment_slice
         )
-        self._pending[first] = _Pending(txs, future)
         self._dispatch_event.set()
-        return await future
+        return await reply
 
     # -- the dispatcher ----------------------------------------------------
 
@@ -645,92 +550,25 @@ class PlacementServer:
         checkpoints consistent.
         """
         engine = self._engine
-        pending = self._pending
-        while pending:
-            next_txid = engine.n_placed
-            entry = pending.pop(next_txid, None)
-            if entry is None:
-                # Requests the cursor has passed (their range overlaps
-                # something already placed) can never dispatch: fail
-                # them now instead of leaking reorder slots + hanging
-                # their clients until shutdown.
-                stale = [key for key in pending if key < next_txid]
-                for key in stale:
-                    stale_entry = pending.pop(key)
-                    if key + len(stale_entry.txs) <= next_txid:
-                        # A duplicate the cursor passed while it sat in
-                        # the queue: answer it from the recorded
-                        # assignments, same as an up-front resubmission.
-                        stale_entry.resolve(
-                            list(
-                                engine.placer._assignment[
-                                    key : key + len(stale_entry.txs)
-                                ]
-                            )
-                        )
-                        continue
-                    stale_entry.fail(
-                        "engine",
-                        f"transactions from {key} were already placed "
-                        f"(next expected: {next_txid})",
-                    )
-                if not stale:
-                    return
-                continue
-            group = [entry]
-            total = len(entry.txs)
-            run_next = next_txid + total
-            while total < self._max_batch_txs:
-                follower = pending.pop(run_next, None)
-                if follower is None:
-                    break
-                group.append(follower)
-                count = len(follower.txs)
-                run_next += count
-                total += count
-            batch = merge_place_batches([member.txs for member in group])
-            try:
-                started = perf_counter()
-                shards = _place(engine, batch)
-                self.metrics.record_batch(
-                    len(batch), perf_counter() - started
-                )
-            except EngineError as exc:
-                self.metrics.error_replies += 1
-                if len(group) == 1:
-                    entry.fail("engine", str(exc))
-                    continue
-                # Atomic validation means nothing was placed; replay
-                # one request at a time so only the offender fails
-                # (later requests then fail on the txid gap it left,
-                # which is the honest outcome).
-                for member in group:
-                    try:
-                        started = perf_counter()
-                        shards = _place(engine, member.txs)
-                        self.metrics.record_batch(
-                            len(member.txs), perf_counter() - started
-                        )
-                        member.resolve(shards)
-                    except EngineError as member_exc:
-                        self.metrics.error_replies += 1
-                        member.fail("engine", str(member_exc))
-                continue
-            except Exception as exc:  # noqa: BLE001 - a placer bug must
-                # fail these requests, not kill the dispatcher: every
-                # later request (and the shutdown drain) still needs it.
-                for member in group:
-                    member.fail(
-                        "engine",
-                        f"internal error placing batch: {exc!r}",
-                    )
-                continue
-            offset = 0
-            for member in group:
-                count = len(member.txs)
-                member.resolve(shards[offset : offset + count])
-                offset += count
+        sequencer = self._sequencer
+        while True:
+            run = sequencer.take_run(
+                engine.n_placed, engine.assignment_slice
+            )
+            if not run:
+                return
+            await sequencer.place_run(run, self._engine_place)
             await asyncio.sleep(0)
+
+    async def _engine_place(
+        self,
+        batch: "list[Transaction] | WireBatch",
+        payloads: "list[bytes | None]",
+    ) -> list[int]:
+        """One merged batch through the engine entry of its kind."""
+        if isinstance(batch, WireBatch):
+            return self._engine.place_wire_batch(batch)
+        return self._engine.place_batch(batch)
 
 
 async def start_server(

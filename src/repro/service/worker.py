@@ -13,9 +13,9 @@ fused placement loop, and checkpoint serialization. Its life cycle:
    buys);
 3. while granted, place contiguous runs from the cursor, resolving
    foreign parents through ``W_ACQUIRE`` and returning mutations
-   through ``W_WRITEBACK``; coalesce consecutive queued requests into
-   one fused micro-batch and replay request-by-request on atomic
-   reject, exactly like the single-process server's dispatcher;
+   through ``W_WRITEBACK``. The reorder buffer, the coalescer and the
+   per-request replay after an atomic reject are the single-process
+   server's: one :class:`~repro.service.sequencer.Sequencer`;
 4. on reaching its lease end, export the hot state and ``W_RELEASE``
    the lease; the coordinator grants the next owner.
 
@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import asyncio
 import os
-from time import perf_counter
 from typing import Any
 
 from repro.errors import EngineError, ProtocolError, RetryLaterError
-from repro.obs.metrics import ServiceMetrics, rss_kb
+from repro.obs.metrics import ServiceMetrics, obs_bundle
 from repro.service import channel as ch
-from repro.service.channel import ChannelClosed, FrameChannel
+from repro.service.channel import FrameChannel
 from repro.service.engine import PlacementEngine
 from repro.service.journal import (
     BatchJournal,
@@ -46,6 +45,7 @@ from repro.service.partition import (
     decode_parent_states,
     encode_parent_states,
 )
+from repro.service.sequencer import Sequencer
 from repro.service.wire import (
     WireBatch,
     decode_place,
@@ -53,7 +53,6 @@ from repro.service.wire import (
     encode_error_response,
     encode_response_for,
     first_txid_of,
-    merge_place_batches,
     wire_arrays_enabled,
     wire_path_label,
 )
@@ -94,36 +93,6 @@ def build_partition(partition_id: int, spec: dict[str, Any]) -> EnginePartition:
     )
 
 
-class _Queued:
-    """One decoded ``place`` request waiting for the cursor.
-
-    The raw wire payload rides along so the write-ahead journal can
-    record the exact post-routing frame without re-encoding.
-    """
-
-    __slots__ = ("txs", "payload", "future")
-
-    def __init__(
-        self,
-        txs: "list[Transaction] | WireBatch",
-        payload: bytes,
-        future: "asyncio.Future[dict]",
-    ) -> None:
-        self.txs = txs
-        self.payload = payload
-        self.future = future
-
-    def resolve(self, shards: list[int]) -> None:
-        if not self.future.done():
-            self.future.set_result({"ok": True, "shards": shards})
-
-    def fail(self, code: str, error: str) -> None:
-        if not self.future.done():
-            self.future.set_result(
-                {"ok": False, "code": code, "error": error}
-            )
-
-
 class PlacementWorker:
     """The in-process runtime behind one worker process."""
 
@@ -144,12 +113,9 @@ class PlacementWorker:
         # needs Transaction objects; deciding here (not per request)
         # keeps the reorder queue single-minded.
         self._wire_arrays = wire_arrays_enabled(engine, "worker")
-        self._max_batch_txs = max_batch_txs
-        self._max_reorder = max_reorder_requests
         self._checkpoint_path = checkpoint_path
         self._checkpoint_compress = checkpoint_compress
         self.channel: "FrameChannel | None" = None
-        self._queue: dict[int, _Queued] = {}
         # Granted from birth when there is nothing to hand off.
         self._granted = partition.n_partitions == 1
         self._paused = False
@@ -166,6 +132,11 @@ class PlacementWorker:
         #: Per-partition serving metrics, shipped to the coordinator in
         #: every W_STATS reply (the scrape path).
         self.metrics = ServiceMetrics()
+        self._sequencer = Sequencer(
+            self.metrics,
+            max_batch_txs=max_batch_txs,
+            max_reorder_requests=max_reorder_requests,
+        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -228,21 +199,15 @@ class PlacementWorker:
         elif kind == ch.W_STATS:
             async with self._engine_lock:
                 journal = self._partition.journal
-                monitor = self._partition.engine.drift_monitor
                 response = {
                     "ok": True,
                     "stats": self._partition.stats(),
-                    "obs": {
-                        "metrics": self.metrics.as_dict(),
-                        "wal": (
-                            journal.stats() if journal is not None else None
-                        ),
-                        "rss_kb": rss_kb(),
-                        "drift": (
-                            monitor.as_dict() if monitor is not None else None
-                        ),
-                        "wire_path": wire_path_label(self._wire_arrays),
-                    },
+                    "obs": obs_bundle(
+                        self.metrics,
+                        wal=journal.stats() if journal is not None else None,
+                        drift=self._partition.engine.drift_monitor,
+                        wire_path=wire_path_label(self._wire_arrays),
+                    ),
                 }
         elif kind == ch.W_CHECKPOINT:
             response = await self._handle_checkpoint(payload)
@@ -294,51 +259,11 @@ class PlacementWorker:
                     f"txid {first} (coordinator routing bug)"
                 ),
             }
-        if first < partition.n_placed:
-            if first + len(txs) <= partition.n_placed:
-                # Exact duplicate of an already-placed range (a client
-                # retry after a lost response): answer from the
-                # assignment record. Identical to the original reply -
-                # resubmission is idempotent.
-                return {
-                    "ok": True,
-                    "shards": partition.assignment_slice(
-                        first, len(txs)
-                    ),
-                }
-            return {
-                "ok": False,
-                "code": "engine",
-                "error": (
-                    f"transactions from {first} were already placed "
-                    f"(next expected: {partition.n_placed})"
-                ),
-            }
-        if first in self._queue:
-            # The original submission is still in flight (the retry
-            # raced it); back off and resubmit - by then the range is
-            # either placed (answered from the record) or failed.
-            self.metrics.retry_replies += 1
-            return {
-                "ok": False,
-                "code": "retry",
-                "error": f"a request starting at txid {first} is "
-                "already queued; retry later",
-            }
-        if len(self._queue) >= self._max_reorder:
-            self.metrics.overload_replies += 1
-            return {
-                "ok": False,
-                "code": "overload",
-                "error": f"reorder buffer full ({self._max_reorder} "
-                "requests waiting for earlier txids)",
-            }
-        future: "asyncio.Future[dict]" = (
-            asyncio.get_running_loop().create_future()
+        reply = self._sequencer.admit(
+            txs, payload, partition.n_placed, partition.assignment_slice
         )
-        self._queue[first] = _Queued(txs, payload, future)
         self._kick.set()
-        return await future
+        return await reply
 
     async def _handle_grant(self, payload: bytes) -> dict:
         body = ch.parse_json_payload(payload)
@@ -411,17 +336,16 @@ class PlacementWorker:
                 if self._draining or self._stopping:
                     return
         finally:
-            for key in sorted(self._queue):
-                self._queue.pop(key).fail(
-                    "shutdown",
-                    "worker shut down before the txid gap before "
-                    "this request was filled",
-                )
+            self._sequencer.fail_all(
+                "shutdown",
+                "worker shut down before the txid gap before "
+                "this request was filled",
+            )
             self._stopped.set()
 
     async def _dispatch_ready(self) -> None:
         partition = self._partition
-        queue = self._queue
+        sequencer = self._sequencer
         while (
             self._granted and not self._paused and not self._stopping
         ):  # draining still dispatches the contiguous run
@@ -431,108 +355,24 @@ class PlacementWorker:
             # atomic reject, or an import that landed exactly on it),
             # and even when the queue is empty.
             await self._maybe_release_lease()
-            if not self._granted or not queue:
+            if not self._granted:
                 return
-            cursor = partition.n_placed
-            stale = [key for key in queue if key < cursor]
-            for key in stale:
-                entry = queue.pop(key)
-                if key + len(entry.txs) <= cursor:
-                    # A duplicate resubmission whose original placed
-                    # while this copy waited in the reorder buffer:
-                    # answer from the assignment record.
-                    entry.resolve(
-                        partition.assignment_slice(key, len(entry.txs))
-                    )
-                else:
-                    entry.fail(
-                        "engine",
-                        f"transactions from {key} were already placed "
-                        f"(next expected: {cursor})",
-                    )
-            entry = queue.pop(cursor, None)
-            if entry is None:
+            run = sequencer.take_run(
+                partition.n_placed, partition.assignment_slice
+            )
+            if not run:
                 return
-            group = [entry]
-            segments = [entry.payload]
-            total = len(entry.txs)
-            run_next = cursor + total
-            while total < self._max_batch_txs:
-                follower = queue.pop(run_next, None)
-                if follower is None:
-                    break
-                group.append(follower)
-                segments.append(follower.payload)
-                count = len(follower.txs)
-                run_next += count
-                total += count
-            batch = merge_place_batches([member.txs for member in group])
             async with self._engine_lock:
-                try:
-                    started = perf_counter()
-                    shards = await self._place_with_remotes(
-                        batch, segments
-                    )
-                    # Includes acquire/writeback round-trips: this is
-                    # the latency a client's batch actually observes
-                    # at this partition.
-                    self.metrics.record_batch(
-                        len(batch), perf_counter() - started
-                    )
-                except RetryLaterError as exc:
-                    # A foreign owner is recovering: nothing placed;
-                    # the identical requests can be resubmitted once
-                    # it is back.
-                    for member in group:
-                        member.fail("retry", str(exc))
-                    continue
-                except EngineError as exc:
-                    self.metrics.error_replies += 1
-                    if len(group) == 1:
-                        entry.fail("engine", str(exc))
-                        continue
-                    # Atomic validation placed nothing; replay one
-                    # request at a time so only the offender fails.
-                    for member in group:
-                        try:
-                            member.resolve(
-                                await self._place_with_remotes(
-                                    member.txs, [member.payload]
-                                )
-                            )
-                        except RetryLaterError as member_exc:
-                            member.fail("retry", str(member_exc))
-                        except EngineError as member_exc:
-                            member.fail("engine", str(member_exc))
-                        except ChannelClosed:
-                            member.fail(
-                                "engine", "coordinator link lost"
-                            )
-                    continue
-                except ChannelClosed:
-                    for member in group:
-                        member.fail("engine", "coordinator link lost")
-                    continue
-                except Exception as exc:  # noqa: BLE001 - a placer bug
-                    # must fail these requests, not kill the worker's
-                    # dispatcher.
-                    for member in group:
-                        member.fail(
-                            "engine",
-                            f"internal error placing batch: {exc!r}",
-                        )
-                    continue
-            offset = 0
-            for member in group:
-                count = len(member.txs)
-                member.resolve(shards[offset : offset + count])
-                offset += count
+                # The run's latency includes acquire/writeback
+                # round-trips: what a client's batch actually observes
+                # at this partition.
+                await sequencer.place_run(run, self._place_with_remotes)
             await asyncio.sleep(0)
 
     async def _place_with_remotes(
         self,
         batch: "list[Transaction] | WireBatch",
-        segments: "list[bytes] | None" = None,
+        segments: "list[bytes]",
     ) -> list[int]:
         """One batch through acquire -> place -> writeback."""
         partition = self._partition

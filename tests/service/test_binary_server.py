@@ -305,24 +305,43 @@ class TestFactories:
             async_client_class("carrier-pigeon")
 
 
-def serve_coalesced(engine, frames):
+@pytest.fixture
+def invalid_frames(stream):
+    # Request 1 double-spends an input of request 0: only it is the
+    # offender; requests 2 and 3 then fail on the txid gap it left.
+    # (The stream's first 200 transactions are coinbases.)
+    txs = list(stream[:600])
+    victim = next(tx for tx in txs[:300] if tx.inputs)
+    txs[350] = Transaction(350, victim.inputs, txs[350].outputs)
+    bounds = [0, 300, 400, 500, 600]
+    return [
+        wire.encode_place_request(index, txs[start:stop])
+        for index, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+    ]
+
+
+def serve_coalesced(engine, frames, metrics=None):
     """Raw reply frames, in request-id order, for ``place`` ``frames``
     sent to a server over ``engine``.
 
     ``frames[1:]`` go first and wait in the reorder buffer behind the
     txid gap; ``frames[0]`` then fills it, so the dispatcher coalesces
-    the whole run into one micro-batch.
+    the whole run into one micro-batch. The server's
+    :class:`~repro.obs.metrics.ServiceMetrics` is appended to
+    ``metrics`` when a list is given.
     """
     replies = {}
 
     async def scenario(server):
+        if metrics is not None:
+            metrics.append(server.metrics)
         reader, writer = await asyncio.open_connection(
             "127.0.0.1", server.port
         )
         for frame in frames[1:]:
             writer.write(frame)
         await writer.drain()
-        while len(server._pending) < len(frames) - 1:
+        while len(server._sequencer) < len(frames) - 1:
             await asyncio.sleep(0.005)
         writer.write(frames[0])
         await writer.drain()
@@ -336,6 +355,41 @@ def serve_coalesced(engine, frames):
 
     run_with_server(scenario, engine=engine)
     return [replies[key] for key in sorted(replies)]
+
+
+def work_coalesced(engine, frames):
+    """:func:`serve_coalesced` against a single-partition
+    :class:`~repro.service.worker.PlacementWorker` over ``engine``,
+    driven through its channel handler: ``(reply frames, metrics)``."""
+    from repro.service import channel as ch
+    from repro.service.partition import EnginePartition
+    from repro.service.worker import PlacementWorker
+
+    payloads = [frame[wire.FRAME_HEADER_BYTES :] for frame in frames]
+
+    async def main():
+        worker = PlacementWorker(
+            EnginePartition(
+                engine, partition_id=0, n_partitions=1, lease_length=10_000
+            )
+        )
+        worker.start()
+        later = [
+            asyncio.create_task(worker.handle(ch.W_PLACE, index, payload))
+            for index, payload in enumerate(payloads)
+            if index
+        ]
+        for _ in range(2_000):
+            if len(worker._sequencer) == len(later):
+                break
+            await asyncio.sleep(0.005)
+        replies = [await worker.handle(ch.W_PLACE, 0, payloads[0])]
+        replies += await asyncio.wait_for(asyncio.gather(*later), 10)
+        worker.stop()
+        await worker.join()
+        return replies, worker.metrics
+
+    return asyncio.run(main())
 
 
 def decode_reply(frame):
@@ -356,25 +410,31 @@ def count_wire_batches(engine):
     return calls
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_coalesced_reject_counted_once_per_reply(backend, invalid_frames):
+    """The server and a worker answer a rejected coalesced run
+    identically and count it the same way: the replay's placed request
+    is one batch, and each failed request one error reply."""
+    collected = []
+    server_engine = make_engine(backend)
+    served = serve_coalesced(server_engine, invalid_frames, collected)
+    worker_engine = make_engine(backend)
+    worked, worker_metrics = work_coalesced(worker_engine, invalid_frames)
+    assert worked == served
+    for engine, metrics in (
+        (server_engine, collected[0]),
+        (worker_engine, worker_metrics),
+    ):
+        assert metrics.placed == engine.n_placed == 300
+        assert metrics.batches == 1
+        assert metrics.error_replies == 3
+
+
 @requires_numpy
 class TestWirePath:
     """Replies from the wire path (numpy engine with the kernel), the
     object path (a drift monitor, or no kernel), and the python golden
     engine must be byte-identical - accepted and rejected alike."""
-
-    @pytest.fixture
-    def invalid_frames(self, stream):
-        # Request 1 double-spends an input of request 0: only it is the
-        # offender; requests 2 and 3 then fail on the txid gap it left.
-        # (The stream's first 200 transactions are coinbases.)
-        txs = list(stream[:600])
-        victim = next(tx for tx in txs[:300] if tx.inputs)
-        txs[350] = Transaction(350, victim.inputs, txs[350].outputs)
-        bounds = [0, 300, 400, 500, 600]
-        return [
-            wire.encode_place_request(index, txs[start:stop])
-            for index, (start, stop) in enumerate(zip(bounds, bounds[1:]))
-        ]
 
     def test_coalesced_group_with_invalid_request(self, invalid_frames):
         golden = serve_coalesced(make_engine(), invalid_frames)

@@ -13,6 +13,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -449,6 +450,42 @@ class TestLoadgenIntegration:
             assert open_report.errors == 0
             assert server.engine.n_placed == 2_000
             assert open_report.target_rate == 200_000.0
+
+        run_with_server(scenario)
+
+    def test_open_loop_times_chunks_from_their_due_time(self, stream):
+        """A stall that makes the generator itself late must show in
+        open-mode latency: here the shared event loop blocks 200 ms
+        once, after one chunk's reply and before the next chunk is
+        due, so no sent chunk waits on it - only chunks due during the
+        stall, which leave late."""
+        from repro.service.loadgen import run_loadgen_async
+
+        async def scenario(server):
+            engine = server.engine
+            place = engine.place_batch
+            calls = []
+
+            def stall_after_fourth_chunk(batch, **kwargs):
+                calls.append(len(batch))
+                if len(calls) == 4:
+                    asyncio.get_running_loop().call_later(
+                        0.01, time.sleep, 0.2
+                    )
+                return place(batch, **kwargs)
+
+            engine.place_batch = stall_after_fourth_chunk
+            report = await run_loadgen_async(
+                port=server.port,
+                stream=stream[:600],
+                n_users=4,
+                chunk_size=50,
+                mode="open",
+                rate=1_250.0,  # one chunk every 40 ms
+            )
+            assert report.errors == 0
+            assert engine.n_placed == 600
+            assert report.latency_ms_max >= 100
 
         run_with_server(scenario)
 
